@@ -58,19 +58,8 @@ func spec() campaign.Spec {
 	}
 	var points []campaign.Point
 	for _, threads := range []int{1, 2, 4, 6, 8, 12, 16, 18} {
-		threads := threads
-		points = append(points, campaign.Point{
-			Param: float64(threads),
-			Mk: func(cellSeed int64) (*exec.Engine, func(*exec.Thread), error) {
-				e, err := exec.NewEngine(exec.Config{
-					Machine: mach, Threads: threads, Seed: cellSeed,
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				return e, workloads.ParallelSort{Elements: 1 << 16}.Body(), nil
-			},
-		})
+		points = append(points, campaign.EnginePoint(float64(threads),
+			exec.Config{Machine: mach, Threads: threads}, workloads.ParallelSort{Elements: 1 << 16}.Body))
 	}
 	return campaign.Spec{
 		ParamName: "threads",
@@ -80,14 +69,6 @@ func spec() campaign.Spec {
 		Mode:      perf.Batched,
 		Seed:      seed,
 	}
-}
-
-func table(rep *campaign.Report) string {
-	s := &evsel.Sweep{ParamName: rep.ParamName}
-	for _, p := range rep.Points {
-		s.Points = append(s.Points, evsel.SweepPoint{Param: p.Param, M: p.M})
-	}
-	return s.Render(0.5)
 }
 
 func main() {
@@ -103,7 +84,7 @@ func main() {
 	// wall-clock time — the journal and every table stay byte-identical
 	// to a serial run — so this reference is also valid for comparison
 	// against the serial killed-and-resumed campaign below.
-	ref, err := (&campaign.Runner{Spec: spec(), Opts: campaign.Options{Concurrency: 4}}).Run()
+	ref, _, err := evsel.NewSweep(&campaign.Runner{Spec: spec(), Opts: campaign.Options{Concurrency: 4}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,17 +107,17 @@ func main() {
 
 	// Act 2: resume from the journal. Completed cells replay from disk;
 	// only the killed cell and its successors execute.
-	rep, err := (&campaign.Runner{Spec: spec(), Opts: campaign.Options{
+	sweep, rep, err := evsel.NewSweep(&campaign.Runner{Spec: spec(), Opts: campaign.Options{
 		JournalPath: journal,
 		Resume:      true,
-	}}).Run()
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(rep.Summary())
 	fmt.Println()
 
-	resumed, uninterrupted := table(rep), table(ref)
+	resumed, uninterrupted := sweep.Render(0.5), ref.Render(0.5)
 	fmt.Print(resumed)
 	fmt.Println()
 	if resumed == uninterrupted {
@@ -146,10 +127,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	sweep := &evsel.Sweep{ParamName: rep.ParamName}
-	for _, p := range rep.Points {
-		sweep.Points = append(sweep.Points, evsel.SweepPoint{Param: p.Param, M: p.M})
-	}
 	for _, c := range sweep.TopCorrelations(0.9) {
 		dir := "rises"
 		if c.R < 0 {

@@ -62,6 +62,28 @@ type Point struct {
 	Mk    func(seed int64) (*exec.Engine, func(*exec.Thread), error)
 }
 
+// EnginePoint is the Point that measures one engine configuration:
+// each call builds a fresh engine from cfg seeded with the cell's seed,
+// and a fresh body from body.
+func EnginePoint(param float64, cfg exec.Config, body func() func(*exec.Thread)) Point {
+	return Point{Param: param, Mk: func(seed int64) (*exec.Engine, func(*exec.Thread), error) {
+		c := cfg
+		c.Seed = seed
+		e, err := exec.NewEngine(c)
+		if err != nil {
+			return nil, nil, err
+		}
+		return e, body(), nil
+	}}
+}
+
+// Library is the Runner an in-process caller measures through: serial,
+// in memory, with no wall-clock bound and no retries, so the first
+// failed run aborts the campaign with its error.
+func Library(spec Spec) *Runner {
+	return &Runner{Spec: spec, Opts: Options{RunTimeout: -1, MaxRetries: -1}}
+}
+
 // Spec describes a measurement campaign: events × reps × batches per
 // sweep point.
 type Spec struct {
@@ -246,9 +268,12 @@ type Runner struct {
 	Opts Options
 }
 
-// pointPlan is the cell decomposition of one sweep point.
+// pointPlan is the cell decomposition of one sweep point: batches
+// cells per repetition, and the Batches value perf.Measure reports for
+// the point (its register batches, or its multiplexing groups).
 type pointPlan struct {
 	batches int
+	groups  int
 	visible func(b int) []counters.EventID
 }
 
@@ -272,13 +297,21 @@ func (r *Runner) validate() error {
 
 // plan builds the per-point cell decomposition. Batched mode needs one
 // probe engine per point to learn the register budget; other modes run
-// one whole-event-set cell per repetition.
+// one whole-event-set cell per repetition, and Multiplexed probes the
+// budget only to report its group count as perf.Measure does.
 func (r *Runner) plan() ([]pointPlan, error) {
 	plans := make([]pointPlan, len(r.Spec.Points))
 	for i, p := range r.Spec.Points {
 		if r.Spec.Mode != perf.Batched {
 			all := append([]counters.EventID(nil), r.Spec.Events...)
-			plans[i] = pointPlan{batches: 1, visible: func(int) []counters.EventID { return all }}
+			plans[i] = pointPlan{batches: 1, groups: 1, visible: func(int) []counters.EventID { return all }}
+			if r.Spec.Mode == perf.Multiplexed {
+				e, _, err := p.Mk(r.Spec.Seed)
+				if err != nil {
+					return nil, fmt.Errorf("campaign: planning point %d: %w", i, err)
+				}
+				plans[i].groups = perf.PlanBatches(e, r.Spec.Events).Batches()
+			}
 			continue
 		}
 		e, _, err := p.Mk(r.Spec.Seed)
@@ -286,7 +319,7 @@ func (r *Runner) plan() ([]pointPlan, error) {
 			return nil, fmt.Errorf("campaign: planning point %d: %w", i, err)
 		}
 		bp := perf.PlanBatches(e, r.Spec.Events)
-		plans[i] = pointPlan{batches: bp.Batches(), visible: bp.Visible}
+		plans[i] = pointPlan{batches: bp.Batches(), groups: bp.Batches(), visible: bp.Visible}
 	}
 	return plans, nil
 }
@@ -523,7 +556,10 @@ func (r *Runner) Run() (*Report, error) {
 	// goroutine that journals, records, strikes and accounts, consuming
 	// outcomes re-sequenced into canonical cell order — so every byte of
 	// journal and report is independent of worker count and scheduling.
-	// Concurrency ≤ 1 takes the same path with a single worker.
+	// With one worker the commit loop executes each cell itself: a
+	// serial campaign never starts a cell before the previous one is
+	// committed, so an abort stops at the failed cell and no cell is
+	// still running when Run returns.
 	var toRun []Cell
 	for _, c := range cells {
 		if state != nil {
@@ -545,41 +581,52 @@ func (r *Runner) Run() (*Report, error) {
 		workers = len(toRun)
 	}
 
+	execute := func(c Cell) cellOutcome {
+		out, attempts, err := Do(mkSup(c), func() (map[counters.EventID]float64, error) {
+			return run(c)
+		})
+		return cellOutcome{cell: c, samples: out, attempts: attempts, err: err}
+	}
+
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 	defer halt()
 
-	jobs := make(chan Cell)
 	// Buffered for every dispatchable cell so workers never block on a
 	// departed committer: after an abort, in-flight cells finish into
 	// the buffer and their goroutines exit without leaking.
 	results := make(chan cellOutcome, len(toRun))
-	go func() {
-		defer close(jobs)
-		for _, c := range toRun {
-			select {
-			case jobs <- c:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
+	if workers > 1 {
+		jobs := make(chan Cell)
 		go func() {
-			for c := range jobs {
-				out, attempts, err := Do(mkSup(c), func() (map[counters.EventID]float64, error) {
-					return run(c)
-				})
-				results <- cellOutcome{cell: c, samples: out, attempts: attempts, err: err}
+			defer close(jobs)
+			for _, c := range toRun {
+				select {
+				case jobs <- c:
+				case <-stop:
+					return
+				}
 			}
 		}()
+		for w := 0; w < workers; w++ {
+			go func() {
+				for c := range jobs {
+					results <- execute(c)
+				}
+			}()
+		}
 	}
 
-	// await returns the outcome of the cell with the given ordinal,
-	// parking outcomes that arrive out of order until their turn.
+	// await returns the outcome of cell c: executed here when serial,
+	// otherwise taken from the pool, parking outcomes that arrive out
+	// of order until their turn.
 	pending := make(map[int]cellOutcome, workers)
-	await := func(idx int) cellOutcome {
+	await := func(c Cell) cellOutcome {
+		if workers <= 1 {
+			return execute(c)
+		}
+		idx := c.Index
 		for {
 			if o, ok := pending[idx]; ok {
 				delete(pending, idx)
@@ -609,7 +656,7 @@ func (r *Runner) Run() (*Report, error) {
 			}
 		}
 
-		o := await(c.Index)
+		o := await(c)
 		rep.Retried += o.attempts - 1
 		if o.err != nil {
 			cerr := &CellError{Cell: c, Attempts: o.attempts, Err: o.err}
@@ -684,7 +731,7 @@ func (r *Runner) Run() (*Report, error) {
 		m := &perf.Measurement{
 			Samples: make(map[counters.EventID][]float64, len(r.Spec.Events)),
 			Runs:    runsPerPoint[pi],
-			Batches: plans[pi].batches,
+			Batches: plans[pi].groups,
 			Reps:    r.Spec.Reps,
 			Mode:    r.Spec.Mode,
 		}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,6 @@ import (
 
 	"numaperf/internal/clockx"
 	"numaperf/internal/counters"
-	"numaperf/internal/evsel"
 	"numaperf/internal/exec"
 	"numaperf/internal/perf"
 	"numaperf/internal/topology"
@@ -112,7 +112,7 @@ func TestRunnerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Points {
-		if !bytes.Equal(saveBytes(t, a.Points[i].M), saveBytes(t, b.Points[i].M)) {
+		if !bytes.Equal(dumpBytes(a.Points[i].M), dumpBytes(b.Points[i].M)) {
 			t.Errorf("point %d: repeated campaign differs", i)
 		}
 	}
@@ -373,7 +373,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		t.Errorf("resume accounting: %d replayed, %d ran; want both > 0", rep.Replayed, rep.Ran)
 	}
 	for i := range ref.Points {
-		got, want := saveBytes(t, rep.Points[i].M), saveBytes(t, ref.Points[i].M)
+		got, want := dumpBytes(rep.Points[i].M), dumpBytes(ref.Points[i].M)
 		if !bytes.Equal(got, want) {
 			t.Errorf("point %d differs after resume:\ngot:\n%s\nwant:\n%s", i, got, want)
 		}
@@ -407,7 +407,7 @@ func TestResumeTolerantOfTornTail(t *testing.T) {
 	if rep.Ran != 1 {
 		t.Errorf("ran %d cells, want exactly the torn one", rep.Ran)
 	}
-	if !bytes.Equal(saveBytes(t, rep.Points[0].M), saveBytes(t, ref.Points[0].M)) {
+	if !bytes.Equal(dumpBytes(rep.Points[0].M), dumpBytes(ref.Points[0].M)) {
 		t.Error("measurement differs after torn-tail resume")
 	}
 	if !strings.Contains(rep.Summary(), "torn final journal record") {
@@ -495,11 +495,9 @@ func TestSupervisorDo(t *testing.T) {
 	}
 }
 
-func saveBytes(t *testing.T, m *perf.Measurement) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := evsel.SaveMeasurement(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// dumpBytes renders every field of a measurement canonically (fmt
+// prints maps in key order, floats in their shortest exact form), so
+// equal bytes mean equal measurements.
+func dumpBytes(m *perf.Measurement) []byte {
+	return fmt.Appendf(nil, "%+v\n", *m)
 }

@@ -1,7 +1,7 @@
 // Determinism equivalence suite for the concurrent cell executor: the
 // same campaign run at Concurrency 1, 2 and 8 must produce
-// byte-identical journals, Reports, quarantine verdicts and rendered
-// Compare/Correlate tables — including across a kill-and-resume cycle.
+// byte-identical journals, Reports, quarantine verdicts and
+// measurements — including across a kill-and-resume cycle.
 // Run under -race; the CI does.
 package campaign
 
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"numaperf/internal/counters"
-	"numaperf/internal/evsel"
 )
 
 // runAt executes spec at the given concurrency with a journal and
@@ -39,28 +38,16 @@ func runAt(t *testing.T, spec Spec, conc int, opts Options) (*Report, []byte) {
 	return rep, raw
 }
 
-// renderAll concatenates every human-facing view of a report: the
-// summary (gaps, quarantine verdicts, accounting), each point's saved
-// measurement, the Compare table between the sweep's endpoints, and the
-// correlation table over the full sweep.
-func renderAll(t *testing.T, rep *Report) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(rep.Summary())
+// renderAll concatenates every view of a report: the summary (gaps,
+// quarantine verdicts, accounting) and each point's full measurement.
+// The Compare and correlation tables are pure functions of these
+// measurements; cmd/evsel's CLI test checks them byte for byte.
+func renderAll(rep *Report) []byte {
+	buf := []byte(rep.Summary())
 	for _, p := range rep.Points {
-		buf.Write(saveBytes(t, p.M))
+		buf = append(buf, dumpBytes(p.M)...)
 	}
-	cmp, err := evsel.Compare(rep.Points[0].M, rep.Points[len(rep.Points)-1].M)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString(cmp.Render())
-	sw := &evsel.Sweep{ParamName: rep.ParamName}
-	for _, p := range rep.Points {
-		sw.Points = append(sw.Points, evsel.SweepPoint{Param: p.Param, M: p.M})
-	}
-	buf.WriteString(sw.Render(0))
-	return buf.Bytes()
+	return buf
 }
 
 // equivWrap makes the campaign exercise every commit path while staying
@@ -111,14 +98,14 @@ func TestConcurrencyEquivalence(t *testing.T) {
 	if refRep.Retried == 0 || len(refRep.Gaps) == 0 || len(refRep.Quarantined) == 0 {
 		t.Fatalf("reference campaign did not exercise retry+gap+quarantine: %s", refRep.Summary())
 	}
-	refView := renderAll(t, refRep)
+	refView := renderAll(refRep)
 	for _, conc := range []int{2, 8} {
 		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
 			rep, jnl := runAt(t, equivSpec(), conc, opts())
 			if !bytes.Equal(jnl, refJnl) {
 				t.Errorf("journal differs from serial run:\ngot:\n%s\nwant:\n%s", jnl, refJnl)
 			}
-			if view := renderAll(t, rep); !bytes.Equal(view, refView) {
+			if view := renderAll(rep); !bytes.Equal(view, refView) {
 				t.Errorf("rendered report differs from serial run:\ngot:\n%s\nwant:\n%s", view, refView)
 			}
 			if rep.Ran != refRep.Ran || rep.Replayed != refRep.Replayed || rep.Retried != refRep.Retried {
@@ -180,7 +167,7 @@ func TestParallelKillAndResume(t *testing.T) {
 		t.Errorf("resumed parallel journal differs from serial journal:\ngot:\n%s\nwant:\n%s", final, refJnl)
 	}
 	for i := range refRep.Points {
-		if !bytes.Equal(saveBytes(t, rep.Points[i].M), saveBytes(t, refRep.Points[i].M)) {
+		if !bytes.Equal(dumpBytes(rep.Points[i].M), dumpBytes(refRep.Points[i].M)) {
 			t.Errorf("point %d differs after parallel kill-and-resume", i)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 	"sort"
 	"strings"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
-	"numaperf/internal/exec"
 	"numaperf/internal/perf"
 	"numaperf/internal/stats"
 )
@@ -214,20 +214,20 @@ func coverage(m *perf.Measurement, id counters.EventID, present bool) float64 {
 	return m.Coverage(id)
 }
 
-// CompareWorkloads measures two bodies on the given engines and
-// compares them. Engines may differ (thread count, policy, machine) —
-// that difference is exactly what is being measured.
-func CompareWorkloads(ea *exec.Engine, bodyA func(*exec.Thread), eb *exec.Engine, bodyB func(*exec.Thread),
-	events []counters.EventID, reps int, mode perf.Mode) (*Comparison, error) {
-	ma, err := perf.Measure(ea, bodyA, events, reps, mode)
-	if err != nil {
-		return nil, fmt.Errorf("evsel: measuring A: %w", err)
+// CompareRun runs a two-point campaign, configuration A then B, and
+// compares the two measurements. The configurations may differ in
+// anything a Point can build (workload, thread count, policy, machine)
+// — that difference is exactly what is being measured.
+func CompareRun(r *campaign.Runner) (*Comparison, *campaign.Report, error) {
+	if len(r.Spec.Points) != 2 {
+		return nil, nil, fmt.Errorf("evsel: a comparison needs 2 configurations, got %d", len(r.Spec.Points))
 	}
-	mb, err := perf.Measure(eb, bodyB, events, reps, mode)
+	rep, err := run(r)
 	if err != nil {
-		return nil, fmt.Errorf("evsel: measuring B: %w", err)
+		return nil, nil, err
 	}
-	return Compare(ma, mb)
+	cmp, err := Compare(rep.Points[0].M, rep.Points[1].M)
+	return cmp, rep, err
 }
 
 // Filter selects rows, the Go equivalent of EvSel's chain of lazily

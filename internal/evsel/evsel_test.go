@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
 	"numaperf/internal/exec"
 	"numaperf/internal/perf"
@@ -30,6 +31,27 @@ func engine(t *testing.T, threads int) *exec.Engine {
 	return e
 }
 
+// pair is the library campaign comparing body A with body B on
+// single-threaded two-socket engines.
+func pair(a, b func() func(*exec.Thread), reps int, mode perf.Mode) *campaign.Runner {
+	cfg := exec.Config{Machine: topology.TwoSocket(), Threads: 1}
+	return campaign.Library(campaign.Spec{
+		ParamName: "workload",
+		Points:    []campaign.Point{campaign.EnginePoint(0, cfg, a), campaign.EnginePoint(1, cfg, b)},
+		Events:    fig8Events, Reps: reps, Mode: mode, Seed: 11,
+	})
+}
+
+// sweep is the library campaign measuring one point per parameter value.
+func sweep(name string, params []float64, mk func(p float64) campaign.Point,
+	events []counters.EventID, reps int, seed int64) *campaign.Runner {
+	spec := campaign.Spec{ParamName: name, Events: events, Reps: reps, Mode: perf.Unlimited, Seed: seed}
+	for _, p := range params {
+		spec.Points = append(spec.Points, mk(p))
+	}
+	return campaign.Library(spec)
+}
+
 // fig8Events is the counter set the paper's Fig. 8 discusses.
 var fig8Events = []counters.EventID{
 	counters.InstRetired, counters.CPUCycles,
@@ -39,9 +61,7 @@ var fig8Events = []counters.EventID{
 }
 
 func TestCompareCacheMissVariants(t *testing.T) {
-	ea, eb := engine(t, 1), engine(t, 1)
-	cmp, err := CompareWorkloads(ea, workloads.CacheMissA(512).Body(),
-		eb, workloads.CacheMissB(512).Body(), fig8Events, 3, perf.Unlimited)
+	cmp, _, err := CompareRun(pair(workloads.CacheMissA(512).Body, workloads.CacheMissB(512).Body, 3, perf.Unlimited))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +103,8 @@ func TestCompareCacheMissVariants(t *testing.T) {
 }
 
 func TestCompareIdenticalConfigurations(t *testing.T) {
-	ea, eb := engine(t, 1), engine(t, 1)
-	body := workloads.Triad{Elements: 1 << 12}.Body()
-	cmp, err := CompareWorkloads(ea, body, eb, body, fig8Events, 4, perf.Unlimited)
+	body := workloads.Triad{Elements: 1 << 12}.Body
+	cmp, _, err := CompareRun(pair(body, body, 4, perf.Unlimited))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +123,24 @@ func TestCompareErrors(t *testing.T) {
 	if _, err := Compare(m, m); err == nil {
 		t.Error("empty measurement must fail")
 	}
-	ea := engine(t, 1)
-	bad := func(t *exec.Thread) { panic("x") }
-	if _, err := CompareWorkloads(ea, bad, ea, bad, fig8Events, 1, perf.Unlimited); err == nil {
+	bad := func() func(*exec.Thread) { return func(t *exec.Thread) { panic("x") } }
+	if _, _, err := CompareRun(pair(bad, bad, 1, perf.Unlimited)); err == nil {
 		t.Error("workload failure must propagate")
 	}
-	good := workloads.Triad{Elements: 1 << 10}.Body()
-	if _, err := CompareWorkloads(ea, good, ea, bad, fig8Events, 1, perf.Unlimited); err == nil {
-		t.Error("workload B failure must propagate")
+	good := workloads.Triad{Elements: 1 << 10}.Body
+	_, _, err := CompareRun(pair(good, bad, 1, perf.Unlimited))
+	if err == nil || !strings.Contains(err.Error(), "workload=1") {
+		t.Errorf("workload B failure must propagate naming B: %v", err)
+	}
+	one := pair(good, good, 1, perf.Unlimited)
+	one.Spec.Points = one.Spec.Points[:1]
+	if _, _, err := CompareRun(one); err == nil {
+		t.Error("a one-configuration comparison must fail")
 	}
 }
 
 func TestFiltersAndSorting(t *testing.T) {
-	ea, eb := engine(t, 1), engine(t, 1)
-	cmp, err := CompareWorkloads(ea, workloads.CacheMissA(256).Body(),
-		eb, workloads.CacheMissB(256).Body(), fig8Events, 2, perf.Unlimited)
+	cmp, _, err := CompareRun(pair(workloads.CacheMissA(256).Body, workloads.CacheMissB(256).Body, 2, perf.Unlimited))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +189,8 @@ func abs(x float64) float64 {
 func isInf(x float64) bool { return x > 1e300 || x < -1e300 }
 
 func TestRenderOutput(t *testing.T) {
-	ea, eb := engine(t, 1), engine(t, 1)
-	body := workloads.Triad{Elements: 1 << 10}.Body()
-	cmp, err := CompareWorkloads(ea, body, eb, body, fig8Events, 2, perf.Unlimited)
+	body := workloads.Triad{Elements: 1 << 10}.Body
+	cmp, _, err := CompareRun(pair(body, body, 2, perf.Unlimited))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,26 +231,20 @@ func TestSweepParallelSortCorrelations(t *testing.T) {
 		counters.CacheLockCycle, counters.SpecTakenJumps,
 		counters.InstRetired, counters.LockLoads,
 	}
-	sweep, err := RunSweep("threads", []float64{1, 2, 4, 6, 8},
-		func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-			e, err := exec.NewEngine(exec.Config{
-				Machine: topology.TwoSocket(),
-				Threads: int(p),
-				Seed:    5,
-			})
-			return e, sortWL.Body(), err
-		}, events, 2, perf.Unlimited)
+	sw, _, err := NewSweep(sweep("threads", []float64{1, 2, 4, 6, 8}, func(p float64) campaign.Point {
+		return campaign.EnginePoint(p, exec.Config{Machine: topology.TwoSocket(), Threads: int(p)}, sortWL.Body)
+	}, events, 2, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	locks, ok := sweep.CorrelationFor(counters.CacheLockCycle)
+	locks, ok := sw.CorrelationFor(counters.CacheLockCycle)
 	if !ok {
 		t.Fatal("no correlation for cache locks")
 	}
 	if locks.R < 0.95 {
 		t.Errorf("L1D lock correlation R = %.3f, want > 0.95 (paper Fig. 9)", locks.R)
 	}
-	spec, ok := sweep.CorrelationFor(counters.SpecTakenJumps)
+	spec, ok := sw.CorrelationFor(counters.SpecTakenJumps)
 	if !ok {
 		t.Fatal("no correlation for speculative jumps")
 	}
@@ -237,12 +252,12 @@ func TestSweepParallelSortCorrelations(t *testing.T) {
 		t.Errorf("speculative jumps R = %.3f, want strongly negative (paper: R > 0.99 negative)", spec.R)
 	}
 	// Rendering includes regression formulas.
-	out := sweep.Render(0.5)
+	out := sw.Render(0.5)
 	if !strings.Contains(out, "threads") || !strings.Contains(out, "y =") {
 		t.Errorf("sweep render:\n%s", out)
 	}
 	// Top correlations respect the cutoff.
-	for _, c := range sweep.TopCorrelations(0.9) {
+	for _, c := range sw.TopCorrelations(0.9) {
 		if abs(c.R) < 0.9 {
 			t.Errorf("TopCorrelations leaked %s with R=%.2f", c.Name, c.R)
 		}
@@ -250,19 +265,27 @@ func TestSweepParallelSortCorrelations(t *testing.T) {
 }
 
 func TestSweepErrors(t *testing.T) {
-	mk := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-		e, err := exec.NewEngine(exec.Config{Machine: topology.TwoSocket(), Threads: 1})
-		return e, workloads.Triad{Elements: 256}.Body(), err
+	mk := func(body func() func(*exec.Thread)) func(p float64) campaign.Point {
+		return func(p float64) campaign.Point {
+			return campaign.EnginePoint(p, exec.Config{Machine: topology.TwoSocket(), Threads: 1}, body)
+		}
 	}
+	good := mk(workloads.Triad{Elements: 256}.Body)
 	events := []counters.EventID{counters.AllLoads}
-	if _, err := RunSweep("p", []float64{1, 2}, mk, events, 1, perf.Unlimited); err == nil {
-		t.Error("short sweep must fail")
+	for _, opts := range []campaign.Options{{}, {Concurrency: 2}, {JournalPath: filepath.Join(t.TempDir(), "j")}} {
+		r := sweep("p", []float64{1, 2}, good, events, 1, 0)
+		r.Opts = opts
+		if _, _, err := NewSweep(r); err == nil || !strings.Contains(err.Error(), "at least 3") {
+			t.Errorf("short sweep under %+v: err = %v, want refusal", opts, err)
+		}
+		if opts.JournalPath != "" {
+			if _, err := os.Stat(opts.JournalPath); !os.IsNotExist(err) {
+				t.Errorf("refused sweep left a journal behind: %v", err)
+			}
+		}
 	}
-	bad := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-		e, err := exec.NewEngine(exec.Config{Machine: topology.TwoSocket(), Threads: 1})
-		return e, func(t *exec.Thread) { panic("x") }, err
-	}
-	if _, err := RunSweep("p", []float64{1, 2, 3}, bad, events, 1, perf.Unlimited); err == nil {
+	bad := mk(func() func(*exec.Thread) { return func(t *exec.Thread) { panic("x") } })
+	if _, _, err := NewSweep(sweep("p", []float64{1, 2, 3}, bad, events, 1, 0)); err == nil {
 		t.Error("failing workload must propagate")
 	}
 }
@@ -274,18 +297,14 @@ func TestSweepAnnotatesConstantIndicators(t *testing.T) {
 	// so it stays out of any |R|-filtered table while remaining visible
 	// to callers who look.
 	tri := workloads.Triad{Elements: 1 << 10}
-	sweep, err := RunSweep("n", []float64{1, 2, 3},
-		func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-			e, err := exec.NewEngine(exec.Config{
-				Machine: topology.UMA(), Threads: 1, Noise: -1,
-			})
-			return e, tri.Body(), err
-		}, []counters.EventID{counters.RemoteDRAM, counters.AllLoads}, 1, perf.Unlimited)
+	sw, _, err := NewSweep(sweep("n", []float64{1, 2, 3}, func(p float64) campaign.Point {
+		return campaign.EnginePoint(p, exec.Config{Machine: topology.UMA(), Threads: 1, Noise: -1}, tri.Body)
+	}, []counters.EventID{counters.RemoteDRAM, counters.AllLoads}, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, c := range sweep.Correlate() {
+	for _, c := range sw.Correlate() {
 		if c.Event == counters.RemoteDRAM {
 			found = true
 			if !c.Diags.Has(stats.Degenerate) {
@@ -304,7 +323,7 @@ func TestSweepAnnotatesConstantIndicators(t *testing.T) {
 	}
 	// The rendered table keeps it below the cutoff but counts it in the
 	// diagnostics footer.
-	out := sweep.Render(0.5)
+	out := sw.Render(0.5)
 	if strings.Contains(out, "RemoteDRAM") {
 		t.Errorf("constant series rendered as a correlation row:\n%s", out)
 	}
@@ -456,15 +475,19 @@ func TestCompareManyErrors(t *testing.T) {
 
 func TestSweepMkErrorMidSweep(t *testing.T) {
 	calls := 0
-	mk := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-		calls++
-		if p == 2 {
-			return nil, nil, errors.New("constructor refused")
+	mk := func(p float64) campaign.Point {
+		pt := campaign.EnginePoint(p, exec.Config{Machine: topology.TwoSocket(), Threads: 1}, workloads.Triad{Elements: 256}.Body)
+		build := pt.Mk
+		pt.Mk = func(seed int64) (*exec.Engine, func(*exec.Thread), error) {
+			calls++
+			if p == 2 {
+				return nil, nil, errors.New("constructor refused")
+			}
+			return build(seed)
 		}
-		e, err := exec.NewEngine(exec.Config{Machine: topology.TwoSocket(), Threads: 1})
-		return e, workloads.Triad{Elements: 256}.Body(), err
+		return pt
 	}
-	_, err := RunSweep("p", []float64{1, 2, 3}, mk, []counters.EventID{counters.AllLoads}, 1, perf.Unlimited)
+	_, _, err := NewSweep(sweep("p", []float64{1, 2, 3}, mk, []counters.EventID{counters.AllLoads}, 1, 0))
 	if err == nil || !strings.Contains(err.Error(), "p=2") || !strings.Contains(err.Error(), "constructor refused") {
 		t.Errorf("mid-sweep constructor error not propagated: %v", err)
 	}

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"sync"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
-	"numaperf/internal/exec"
 	"numaperf/internal/perf"
 	"numaperf/internal/stats"
 )
@@ -36,27 +36,34 @@ type Sweep struct {
 	corrFor int // len(Points) the memo was computed from
 }
 
-// RunSweep builds the engines and measurements for each parameter
-// value. mk must return the engine and body for one parameter setting.
-func RunSweep(paramName string, params []float64,
-	mk func(param float64) (*exec.Engine, func(*exec.Thread), error),
-	events []counters.EventID, reps int, mode perf.Mode) (*Sweep, error) {
-	if len(params) < 3 {
-		return nil, errors.New("evsel: a sweep needs at least 3 parameter values")
+// NewSweep runs a sweep campaign, one point per parameter value, and
+// assembles the sweep EvSel correlates. It is the one place the
+// three-value rule lives: two points fit any line with R = ±1, so a
+// shorter sweep is refused before a single run is spent on it.
+func NewSweep(r *campaign.Runner) (*Sweep, *campaign.Report, error) {
+	if len(r.Spec.Points) < 3 {
+		return nil, nil, errors.New("evsel: a sweep needs at least 3 parameter values")
 	}
-	s := &Sweep{ParamName: paramName}
-	for _, p := range params {
-		e, body, err := mk(p)
-		if err != nil {
-			return nil, fmt.Errorf("evsel: building engine for %s=%g: %w", paramName, p, err)
-		}
-		m, err := perf.Measure(e, body, events, reps, mode)
-		if err != nil {
-			return nil, fmt.Errorf("evsel: measuring %s=%g: %w", paramName, p, err)
-		}
-		s.Points = append(s.Points, SweepPoint{Param: p, M: m})
+	rep, err := run(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	return s, nil
+	s := &Sweep{ParamName: rep.ParamName}
+	for _, p := range rep.Points {
+		s.Points = append(s.Points, SweepPoint{Param: p.Param, M: p.M})
+	}
+	return s, rep, nil
+}
+
+// run executes a campaign, naming the parameter value of the cell that
+// aborted it.
+func run(r *campaign.Runner) (*campaign.Report, error) {
+	rep, err := r.Run()
+	var ce *campaign.CampaignError
+	if errors.As(err, &ce) {
+		return nil, fmt.Errorf("evsel: measuring %s=%g: %w", r.Spec.ParamName, ce.Cell.Param, err)
+	}
+	return rep, err
 }
 
 // Correlation relates one event to the swept parameter.

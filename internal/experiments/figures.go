@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
 	"numaperf/internal/evsel"
 	"numaperf/internal/exec"
@@ -28,21 +29,15 @@ func Fig8(cfg Config) (*Report, error) {
 	// the L1 sets or overrun the L2, so the pathology would vanish.
 	size := pick(cfg, 512, 1024)
 	reps := pick(cfg, 3, 5)
-	mkEngine := func() (*exec.Engine, error) {
-		return exec.NewEngine(exec.Config{Machine: cfg.machine(), Threads: 1, Seed: cfg.Seed})
-	}
-	ea, err := mkEngine()
-	if err != nil {
-		return nil, err
-	}
-	eb, err := mkEngine()
-	if err != nil {
-		return nil, err
-	}
-	cmp, err := evsel.CompareWorkloads(
-		ea, workloads.CacheMissA(size).Body(),
-		eb, workloads.CacheMissB(size).Body(),
-		fig8Events, reps, perf.Batched)
+	ec := exec.Config{Machine: cfg.machine(), Threads: 1}
+	cmp, _, err := evsel.CompareRun(campaign.Library(campaign.Spec{
+		ParamName: "workload",
+		Points: []campaign.Point{
+			campaign.EnginePoint(0, ec, workloads.CacheMissA(size).Body),
+			campaign.EnginePoint(1, ec, workloads.CacheMissB(size).Body),
+		},
+		Events: fig8Events, Reps: reps, Mode: perf.Batched, Seed: cfg.Seed,
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -88,14 +83,11 @@ func Fig9(cfg Config) (*Report, error) {
 		counters.MachineClearsMO, counters.L3Reference,
 	}
 	sortWL := workloads.ParallelSort{Elements: elements}
-	sweep, err := evsel.RunSweep("threads", threadCounts,
-		func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-			e, err := exec.NewEngine(exec.Config{Machine: m, Threads: int(p), Seed: cfg.Seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, sortWL.Body(), nil
-		}, events, reps, perf.Batched)
+	spec := campaign.Spec{ParamName: "threads", Events: events, Reps: reps, Mode: perf.Batched, Seed: cfg.Seed}
+	for _, tc := range threadCounts {
+		spec.Points = append(spec.Points, campaign.EnginePoint(tc, exec.Config{Machine: m, Threads: int(tc)}, sortWL.Body))
+	}
+	sweep, _, err := evsel.NewSweep(campaign.Library(spec))
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/core"
 	"numaperf/internal/counters"
 	"numaperf/internal/exec"
@@ -116,8 +117,15 @@ func AblationBatching(cfg Config) (*Report, error) {
 		counters.BranchMiss,
 	}
 	reps := pick(cfg, 2, 4)
-	mkEngine := func() (*exec.Engine, error) {
-		return exec.NewEngine(exec.Config{Machine: m, Threads: 1, Seed: cfg.Seed})
+	measure := func(mode perf.Mode) (*perf.Measurement, error) {
+		rep, err := campaign.Library(campaign.Spec{
+			Points: []campaign.Point{campaign.EnginePoint(1, exec.Config{Machine: m, Threads: 1}, wl.Body)},
+			Events: events, Reps: reps, Mode: mode, Seed: cfg.Seed,
+		}).Run()
+		if err != nil {
+			return nil, err
+		}
+		return rep.Points[0].M, nil
 	}
 	meanAbsErr := func(mm *perf.Measurement, truth *perf.Measurement) float64 {
 		var sum float64
@@ -135,27 +143,15 @@ func AblationBatching(cfg Config) (*Report, error) {
 		}
 		return sum / float64(n)
 	}
-	e1, err := mkEngine()
+	truth, err := measure(perf.Unlimited)
 	if err != nil {
 		return nil, err
 	}
-	truth, err := perf.Measure(e1, wl.Body(), events, reps, perf.Unlimited)
+	batched, err := measure(perf.Batched)
 	if err != nil {
 		return nil, err
 	}
-	e2, err := mkEngine()
-	if err != nil {
-		return nil, err
-	}
-	batched, err := perf.Measure(e2, wl.Body(), events, reps, perf.Batched)
-	if err != nil {
-		return nil, err
-	}
-	e3, err := mkEngine()
-	if err != nil {
-		return nil, err
-	}
-	muxed, err := perf.Measure(e3, wl.Body(), events, reps, perf.Multiplexed)
+	muxed, err := measure(perf.Multiplexed)
 	if err != nil {
 		return nil, err
 	}

@@ -239,15 +239,6 @@ func Measure(e *exec.Engine, body func(*exec.Thread), events []counters.EventID,
 	}
 }
 
-// MeasureAll measures the entire event database, EvSel style.
-func MeasureAll(e *exec.Engine, body func(*exec.Thread), reps int, mode Mode) (*Measurement, error) {
-	all := make([]counters.EventID, counters.NumEvents)
-	for i := range all {
-		all[i] = counters.EventID(i)
-	}
-	return Measure(e, body, all, reps, mode)
-}
-
 func measureUnlimited(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, reps int) (*Measurement, error) {
 	m := &Measurement{Samples: make(map[counters.EventID][]float64, len(events)), Mode: Unlimited, Batches: 1, Reps: reps}
 	for r := 0; r < reps; r++ {
@@ -287,18 +278,10 @@ func measureBatched(e *exec.Engine, body func(*exec.Thread), events []counters.E
 // active in each quantum and scaling by the duty cycle at the end —
 // perf's default behaviour when events exceed registers.
 func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, reps int) (*Measurement, error) {
-	fixed, core, uncore := splitByDomain(events)
-	k := e.Config().Machine.PMU.ProgrammableCounters
-	groups := batchesOf(core, k)
-	// Uncore groups rotate alongside the core groups.
-	ugroups := batchesOf(uncore, uncoreRegisters)
-	nGroups := len(groups)
-	if len(ugroups) > nGroups {
-		nGroups = len(ugroups)
-	}
-	if nGroups == 0 {
-		nGroups = 1
-	}
+	// The register batches become rotation groups; uncore groups rotate
+	// alongside the core groups.
+	plan := PlanBatches(e, events)
+	fixed, groups, ugroups, nGroups := plan.Fixed, plan.Core, plan.Uncore, plan.Batches()
 	m := &Measurement{Samples: make(map[counters.EventID][]float64, len(events)), Mode: Multiplexed, Batches: nGroups, Reps: reps}
 
 	for r := 0; r < reps; r++ {

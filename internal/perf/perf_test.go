@@ -136,19 +136,24 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestMeasureAllCoversDatabase(t *testing.T) {
-	e := testEngine(t)
-	m, err := MeasureAll(e, func(t *exec.Thread) {
-		buf := t.Alloc(64 << 10)
-		for off := uint64(0); off < buf.Size; off += 64 {
-			t.Load(buf.Addr(off))
-		}
-	}, 1, Unlimited)
-	if err != nil {
-		t.Fatal(err)
+func TestMeasureCoversDatabase(t *testing.T) {
+	all := make([]counters.EventID, counters.NumEvents)
+	for i := range all {
+		all[i] = counters.EventID(i)
 	}
-	if len(m.Samples) != int(counters.NumEvents) {
-		t.Errorf("MeasureAll sampled %d events, want %d", len(m.Samples), counters.NumEvents)
+	for _, mode := range []Mode{Unlimited, Batched} {
+		m, err := Measure(testEngine(t), func(t *exec.Thread) {
+			buf := t.Alloc(64 << 10)
+			for off := uint64(0); off < buf.Size; off += 64 {
+				t.Load(buf.Addr(off))
+			}
+		}, all, 1, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Samples) != int(counters.NumEvents) {
+			t.Errorf("%s: sampled %d events, want %d", mode, len(m.Samples), counters.NumEvents)
+		}
 	}
 }
 

@@ -536,17 +536,7 @@ func runCampaignStage(sc *Scenario, seed int64, faults []Event, fake *clockx.Fak
 	}
 	points := make([]campaign.Point, 0, len(threads))
 	for _, th := range threads {
-		th := th
-		points = append(points, campaign.Point{
-			Param: float64(th),
-			Mk: func(cellSeed int64) (*exec.Engine, func(*exec.Thread), error) {
-				e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: th, Seed: cellSeed, Chunk: 1024})
-				if err != nil {
-					return nil, nil, err
-				}
-				return e, wl.Body(), nil
-			},
-		})
+		points = append(points, campaign.EnginePoint(float64(th), exec.Config{Machine: mach, Threads: th, Chunk: 1024}, wl.Body))
 	}
 	reps := cs.Reps
 	if reps == 0 {

@@ -59,6 +59,9 @@ type Regression struct {
 	N       int
 	Dropped int
 	Diags   Diagnostics
+	// XMin and XMax bound the x values the fit used; R reads the
+	// direction of the fitted curve across them.
+	XMin, XMax float64
 }
 
 // Predict evaluates the fitted model at x.
@@ -80,18 +83,16 @@ func (r Regression) Predict(x float64) float64 {
 	}
 }
 
-// R returns the correlation-style coefficient: sign(slope)·√R². EvSel's
-// UI reports R values such as "R > 0.95" or negative correlations.
+// R returns the correlation-style coefficient √R², negative when the
+// fitted curve falls across the sampled x range (ŷ(XMax) < ŷ(XMin)).
+// EvSel's UI reports R values such as "R > 0.95" or negative
+// correlations. The direction is read from the curve, not from a
+// coefficient: a quadratic's leading term is its curvature, and a
+// convex curve can fall over the whole range.
 func (r Regression) R() float64 {
 	root := math.Sqrt(math.Max(r.R2, 0))
-	if len(r.Coeffs) > 0 {
-		slope := r.Coeffs[0]
-		if r.Kind == ExponentialRegression || r.Kind == PowerRegression {
-			slope = r.Coeffs[1]
-		}
-		if slope < 0 {
-			return -root
-		}
+	if len(r.Coeffs) > 0 && r.Predict(r.XMax) < r.Predict(r.XMin) {
+		return -root
 	}
 	return root
 }
@@ -187,6 +188,10 @@ func tooFew(kind RegressionKind, usable, total, minN int, diags Diagnostics) (Re
 // carries NaN or ±Inf.
 func finalize(r Regression, xs, ys []float64) (Regression, error) {
 	r.R2, r.RMSE = rSquared(r, xs, ys)
+	r.XMin, r.XMax = xs[0], xs[0]
+	for _, x := range xs {
+		r.XMin, r.XMax = math.Min(r.XMin, x), math.Max(r.XMax, x)
+	}
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for _, c := range r.Coeffs {
 		if !finite(c) {

@@ -63,6 +63,36 @@ func TestFitQuadraticExact(t *testing.T) {
 	}
 }
 
+// TestQuadraticRSignFollowsCurve pins the sign of R to the direction
+// of the fitted curve over the sampled range, not to the sign of the
+// x² (curvature) coefficient.
+func TestQuadraticRSignFollowsCurve(t *testing.T) {
+	cases := []struct {
+		name  string
+		f     func(x float64) float64
+		wantR float64
+	}{
+		{"convex falling", func(x float64) float64 { return 200*x*x - 4400*x + 160000 }, -1},
+		{"concave rising", func(x float64) float64 { return -0.3*x*x + 6.6*x - 5 }, +1},
+		{"convex rising", func(x float64) float64 { return x*x + x }, +1},
+		{"concave falling", func(x float64) float64 { return -x*x - x }, -1},
+	}
+	xs := []float64{1, 2, 4, 6, 8}
+	for _, tc := range cases {
+		ys := make([]float64, len(xs))
+		for i, x := range xs {
+			ys[i] = tc.f(x)
+		}
+		r, err := FitQuadratic(xs, ys)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := r.R(); math.Abs(got-tc.wantR) > 1e-9 {
+			t.Errorf("%s: R = %+g, want %+g (fit %s)", tc.name, got, tc.wantR, r.Equation())
+		}
+	}
+}
+
 func TestFitExponentialExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4}
 	ys := make([]float64, len(xs))

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/core"
 	"numaperf/internal/counters"
 	"numaperf/internal/evsel"
@@ -344,22 +345,33 @@ func (s *Session) Run(w Workload) (*Result, error) {
 	return e.Run(w.Body())
 }
 
+// point is the campaign point measuring w on a team of the given size.
+func (s *Session) point(param float64, threads int, w Workload) campaign.Point {
+	cfg := s.cfg
+	cfg.Threads = threads
+	return campaign.EnginePoint(param, cfg, w.Body)
+}
+
+// runner is the campaign behind every Session measurement, seeded by
+// the session: cell i measures on a fresh engine seeded Seed+i+1.
+func (s *Session) runner(paramName string, points []campaign.Point, events []EventID, reps int, mode Mode) *campaign.Runner {
+	return campaign.Library(campaign.Spec{ParamName: paramName, Points: points,
+		Events: events, Reps: reps, Mode: mode, Seed: s.cfg.Seed})
+}
+
 // Measure collects reps samples per event for the workload.
 func (s *Session) Measure(w Workload, events []EventID, reps int, mode Mode) (*Measurement, error) {
-	e, err := s.engine()
+	rep, err := s.runner("threads", []campaign.Point{s.point(float64(s.cfg.Threads), s.cfg.Threads, w)},
+		events, reps, mode).Run()
 	if err != nil {
 		return nil, err
 	}
-	return perf.Measure(e, w.Body(), events, reps, mode)
+	return rep.Points[0].M, nil
 }
 
 // MeasureAll measures the entire event database, EvSel style.
 func (s *Session) MeasureAll(w Workload, reps int, mode Mode) (*Measurement, error) {
-	e, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	return perf.MeasureAll(e, w.Body(), reps, mode)
+	return s.Measure(w, AllEvents(), reps, mode)
 }
 
 // Compare measures two workloads over all events with register
@@ -370,15 +382,9 @@ func (s *Session) Compare(a, b Workload, reps int) (*Comparison, error) {
 
 // CompareEvents is Compare with an explicit event set and mode.
 func (s *Session) CompareEvents(a, b Workload, events []EventID, reps int, mode Mode) (*Comparison, error) {
-	ea, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	eb, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	return evsel.CompareWorkloads(ea, a.Body(), eb, b.Body(), events, reps, mode)
+	points := []campaign.Point{s.point(0, s.cfg.Threads, a), s.point(1, s.cfg.Threads, b)}
+	cmp, _, err := evsel.CompareRun(s.runner("workload", points, events, reps, mode))
+	return cmp, err
 }
 
 // CompareMany measures the workload under every supplied thread count
@@ -387,22 +393,19 @@ func (s *Session) CompareEvents(a, b Workload, events []EventID, reps int, mode 
 // run pairs to whole configuration series.
 func (s *Session) CompareMany(w Workload, threadCounts []int, events []EventID,
 	reps int, mode Mode) (*MultiComparison, error) {
-	var ms []*perf.Measurement
+	var points []campaign.Point
 	var labels []string
-	cfg := s.cfg
 	for _, tc := range threadCounts {
-		c := cfg
-		c.Threads = tc
-		e, err := exec.NewEngine(c)
-		if err != nil {
-			return nil, err
-		}
-		m, err := perf.Measure(e, w.Body(), events, reps, mode)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
+		points = append(points, s.point(float64(tc), tc, w))
 		labels = append(labels, fmt.Sprintf("T=%d", tc))
+	}
+	rep, err := s.runner("threads", points, events, reps, mode).Run()
+	if err != nil {
+		return nil, err
+	}
+	ms := make([]*perf.Measurement, len(rep.Points))
+	for i, p := range rep.Points {
+		ms[i] = p.M
 	}
 	return evsel.CompareMany(labels, ms...)
 }
@@ -411,21 +414,12 @@ func (s *Session) CompareMany(w Workload, threadCounts []int, events []EventID,
 // the thread count (the Fig. 9 experiment shape).
 func (s *Session) SweepThreads(mk func(threads int) Workload, threadCounts []int,
 	events []EventID, reps int, mode Mode) (*Sweep, error) {
-	params := make([]float64, len(threadCounts))
-	for i, tc := range threadCounts {
-		params[i] = float64(tc)
+	var points []campaign.Point
+	for _, tc := range threadCounts {
+		points = append(points, s.point(float64(tc), tc, mk(tc)))
 	}
-	cfg := s.cfg
-	return evsel.RunSweep("threads", params,
-		func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-			c := cfg
-			c.Threads = int(p)
-			e, err := exec.NewEngine(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, mk(int(p)).Body(), nil
-		}, events, reps, mode)
+	sw, _, err := evsel.NewSweep(s.runner("threads", points, events, reps, mode))
+	return sw, err
 }
 
 // LatencyHistogram measures the workload's load-latency histogram by
