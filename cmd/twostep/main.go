@@ -149,7 +149,7 @@ func main() {
 	fmt.Printf("%-14s %14.4g cycles  error %6.1f%%\n", "two-step", pred, 100*relErr(pred, actual))
 	fmt.Printf("%-14s %14.4g cycles  (measured, %d runs)\n", "actual", actual, len(truth))
 
-	char := models.Characterize(resultOf(truth))
+	char := models.Characterize(resultOf(truth, *threads))
 	fmt.Println("\nmonolithic baselines (no counter access):")
 	for _, b := range models.All() {
 		p := b.PredictCycles(char, evalMach)
@@ -169,11 +169,11 @@ func main() {
 }
 
 // resultOf reconstructs a minimal result view for Characterize from a
-// training point (counters plus machine-independent fields).
-func resultOf(pts []core.TrainingPoint) *exec.Result {
+// training point measured with the given thread count (counters plus
+// machine-independent fields).
+func resultOf(pts []core.TrainingPoint, threads int) *exec.Result {
 	p := pts[0]
-	return &exec.Result{Raw: p.Counts, Cycles: uint64(p.Cycles), Threads: 1,
-		PerCore: nil, Uncore: nil}
+	return &exec.Result{Raw: p.Counts, Cycles: uint64(p.Cycles), Threads: threads}
 }
 
 func relErr(pred, actual float64) float64 {

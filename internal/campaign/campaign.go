@@ -427,43 +427,39 @@ func (r *Runner) Run() (*Report, error) {
 	}
 	cells := r.cells(plans)
 
-	// Journal: load prior state when resuming (truncating a torn tail
-	// before appending), refuse to clobber otherwise, open for append.
-	// The writer owns the header: it writes one at the head of a fresh
-	// journal and of every rotated segment.
+	// Journal: resume adopts prior state once its header matches the
+	// spec; a fresh run refuses to clobber one. The writer owns the
+	// header: it writes one at the head of a fresh journal and of every
+	// rotated segment. Appends run under the shared disk-fault policy.
+	rep := &Report{ParamName: r.Spec.ParamName, Cells: len(cells)}
 	var state *journalState
-	var jnl journal.Log = (*journal.Writer)(nil)
+	jnl := &journal.Guard{Owner: journalOwner, Strict: r.Opts.StrictJournal, Logf: logf,
+		Degrade: func(fault error) { rep.JournalDegraded, rep.JournalFault = true, fault.Error() }}
 	if r.Opts.JournalPath != "" {
-		fsys := r.Opts.JournalFS
-		if fsys == nil {
-			fsys = journal.OSFS
-		}
-		var prior *journal.SegmentedState
-		if r.Opts.Resume {
-			state, prior, err = loadJournal(fsys, r.Opts.JournalPath)
-			if err != nil {
-				return nil, err
-			}
-			if state != nil {
-				if err := state.header.matches(r.header()); err != nil {
-					return nil, err
-				}
-				logf("campaign: resuming %s: %d of %d cells already journaled",
-					r.Opts.JournalPath, state.completed(), len(cells))
-			}
-		} else if journal.HasState(fsys, r.Opts.JournalPath) {
-			return nil, fmt.Errorf("%w: %s", ErrJournalExists, r.Opts.JournalPath)
-		}
-		sw, jerr := journal.OpenSegmented(fsys, r.Opts.JournalPath, prior, journal.SegmentedOptions{
+		jnl.W, err = journalOwner.Open(r.Opts.JournalFS, r.Opts.JournalPath, r.Opts.Resume, journal.SegmentedOptions{
 			SegmentBytes: r.Opts.JournalSegmentBytes,
 			Version:      journalVersion,
 			Header:       r.header(),
+		}, func(generic *journal.State) error {
+			st, err := convertJournal(generic)
+			if err != nil {
+				return err
+			}
+			if err := st.header.matches(r.header()); err != nil {
+				return err
+			}
+			state = st
+			logf("campaign: resuming %s: %d of %d cells already journaled",
+				r.Opts.JournalPath, state.completed(), len(cells))
+			return nil
 		})
-		if jerr != nil {
-			return nil, fmt.Errorf("campaign: opening journal: %w", jerr)
+		if err != nil {
+			return nil, err
 		}
-		jnl = sw
 		defer jnl.Close()
+	}
+	if state != nil {
+		rep.Truncated = state.truncated
 	}
 
 	run := r.defaultRun(plans)
@@ -496,33 +492,6 @@ func (r *Runner) Run() (*Report, error) {
 		}
 	}
 
-	rep := &Report{ParamName: r.Spec.ParamName, Cells: len(cells)}
-	if state != nil {
-		rep.Truncated = state.truncated
-	}
-
-	// journalFault is the disk-fault policy at every journal append: a
-	// scripted crash propagates verbatim (the chaos harness resumes
-	// from whatever hit the disk); under StrictJournal any other fault
-	// aborts typed; otherwise the journal is dropped, the campaign
-	// finishes in memory, and the report says so — the resume guarantee
-	// is never lost silently.
-	journalFault := func(err error) error {
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, journal.ErrCrashed):
-			return err
-		case r.Opts.StrictJournal:
-			return fmt.Errorf("%w: %v", ErrJournalDegraded, err)
-		}
-		logf("campaign: journal degraded, finishing in memory: %v", err)
-		rep.JournalDegraded = true
-		rep.JournalFault = err.Error()
-		jnl.Close()
-		jnl = (*journal.Writer)(nil)
-		return nil
-	}
 	strikes := newStrikeLog()
 	acc := make([]map[counters.EventID][]float64, len(r.Spec.Points))
 	runsPerPoint := make([]int, len(r.Spec.Points))
@@ -667,8 +636,8 @@ func (r *Runner) Run() (*Report, error) {
 				return rep, &CampaignError{Cell: c, Err: cerr}
 			}
 			logf("campaign: %v (recording gap)", cerr)
-			if jerr := journalFault(jnl.Append(&gapRecord{Kind: "gap", Key: key, Error: cerr.Error(),
-				Events: names(plans[c.Point].visible(c.Batch))})); jerr != nil {
+			if jerr := jnl.Append(&gapRecord{Kind: "gap", Key: key, Error: cerr.Error(),
+				Events: names(plans[c.Point].visible(c.Batch))}); jerr != nil {
 				return rep, jerr
 			}
 			gap(c, cerr.Error())
@@ -693,7 +662,7 @@ func (r *Runner) Run() (*Report, error) {
 			}
 			samples[name] = v
 		}
-		if jerr := journalFault(jnl.Append(&cellRecord{Kind: "cell", Key: key, Samples: samples, Bad: bad})); jerr != nil {
+		if jerr := jnl.Append(&cellRecord{Kind: "cell", Key: key, Samples: samples, Bad: bad}); jerr != nil {
 			return rep, jerr
 		}
 		decoded, _ := decodeSamples(samples)

@@ -13,15 +13,15 @@
 // case) is dropped, and any damaged earlier record fails loudly with
 // ErrJournalCorrupt rather than resuming from lies.
 //
-// Framing, CRC verification, torn-tail handling and version gating
-// live in internal/journal (extracted from this file, byte-compatible);
-// this file keeps the campaign's record types, the spec-match check,
-// and the campaign-flavoured error surface unchanged.
+// Framing, CRC verification, torn-tail handling, version gating and
+// the open/resume/degrade lifecycle live in internal/journal (extracted
+// from this file, byte-compatible); this file keeps the campaign's
+// record types, the spec-match check, and the sentinels that keep the
+// campaign-flavoured error surface unchanged.
 package campaign
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"numaperf/internal/journal"
@@ -72,48 +72,19 @@ type journalState struct {
 
 func (s *journalState) completed() int { return len(s.cells) + len(s.gaps) }
 
+// journalOwner is the campaign's side of the shared journal
+// lifecycle: its message prefix and typed sentinels.
+var journalOwner = journal.Owner{
+	Name:     "campaign",
+	Exists:   ErrJournalExists,
+	Corrupt:  ErrJournalCorrupt,
+	Mismatch: ErrJournalMismatch,
+	Degraded: ErrJournalDegraded,
+}
+
 // parseLine verifies and decodes one journal line into kind + payload.
 func parseLine(line string) (kind string, payload []byte, err error) {
 	return journal.ParseLine(line)
-}
-
-// loadJournal recovers the journal at path — a legacy single file or
-// checkpointed segments, whichever recovery finds — over fsys. It
-// returns the campaign-flavoured state plus the raw recovery, which
-// OpenSegmented needs to continue the journal in place. A missing,
-// empty or all-casualty journal returns (nil, nil, nil): nothing to
-// resume (the same reading both campaign and fleet callers share).
-func loadJournal(fsys journal.FS, path string) (*journalState, *journal.SegmentedState, error) {
-	seg, err := journal.LoadSegmented(fsys, path, journalVersion)
-	if err != nil {
-		return nil, nil, reflavour(err)
-	}
-	if seg == nil {
-		return nil, nil, nil
-	}
-	st, err := convertJournal(seg.State, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, seg, nil
-}
-
-// reflavour turns the shared package's typed errors into the
-// campaign's historical sentinels and messages so callers (and the
-// fuzz corpus) see the exact pre-extraction surface.
-func reflavour(err error) error {
-	var ce *journal.CorruptError
-	if errors.As(err, &ce) {
-		if ce.Line > 0 {
-			return fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, ce.Line, ce.Reason)
-		}
-		return fmt.Errorf("%w: %v", ErrJournalCorrupt, ce.Reason)
-	}
-	var ve *journal.VersionError
-	if errors.As(err, &ve) {
-		return fmt.Errorf("%w: journal version %d, want %d", ErrJournalMismatch, ve.Got, ve.Want)
-	}
-	return err
 }
 
 // parseJournal verifies and decodes raw journal bytes — the pure
@@ -121,15 +92,16 @@ func reflavour(err error) error {
 // filesystem. Empty input returns (nil, nil); every failure is
 // ErrJournalCorrupt or ErrJournalMismatch, never a panic.
 func parseJournal(raw []byte) (*journalState, error) {
-	return convertJournal(journal.Parse(raw, journalVersion))
+	generic, err := journal.Parse(raw, journalVersion)
+	if err != nil {
+		return nil, journalOwner.Reflavour(err)
+	}
+	return convertJournal(generic)
 }
 
 // convertJournal maps a generic parsed journal into the campaign's
 // record vocabulary.
-func convertJournal(generic *journal.State, err error) (*journalState, error) {
-	if err != nil {
-		return nil, reflavour(err)
-	}
+func convertJournal(generic *journal.State) (*journalState, error) {
 	if generic == nil {
 		return nil, nil
 	}

@@ -662,34 +662,34 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	remaining := n
 	var emptySince time.Time
 
-	// Journal: load prior state when resuming, refuse to clobber
-	// otherwise, open for append, write the header once. Replayed cells
-	// enter the loop already done and journaled, so the scatter only
-	// sees the missing ones; the restored strike ledger closes the door
-	// on probes whose quarantine predates the restart.
-	var jnl journal.Log = (*journal.Writer)(nil)
+	// Journal: resume adopts prior state once its header matches the
+	// spec, a fresh run refuses to clobber one. Replayed cells enter
+	// the loop already done and journaled, so the scatter only sees the
+	// missing ones; the restored strike ledger closes the door on
+	// probes whose quarantine predates the restart. The writer owns the
+	// header: it writes one at the head of a fresh journal and of every
+	// rotated segment, with the probe ledger compacted to one record
+	// per probe at each checkpoint. Appends run under the shared
+	// disk-fault policy.
+	jnl := &journal.Guard{Owner: fleetJournalOwner, Strict: c.opts.StrictJournal, Logf: c.opts.Logf,
+		Degrade: func(fault error) { report.JournalDegraded, report.JournalFault = true, fault.Error() }}
 	nextCommit := 0
 	lastLedger := make(map[string]fleetProbeRecord)
 	journaling := c.opts.JournalPath != ""
 	if journaling {
-		fsys := c.opts.JournalFS
-		if fsys == nil {
-			fsys = journal.OSFS
-		}
-		var state *fleetJournalState
-		var prior *journal.SegmentedState
-		if c.opts.Resume {
-			var err error
-			state, prior, err = loadFleetJournal(fsys, c.opts.JournalPath)
+		var err error
+		jnl.W, err = fleetJournalOwner.Open(c.opts.JournalFS, c.opts.JournalPath, c.opts.Resume, journal.SegmentedOptions{
+			SegmentBytes: c.opts.JournalSegmentBytes,
+			Version:      fleetJournalVersion,
+			Header:       fleetHeaderFor(spec),
+			Summarize:    summarizeFleetCheckpoint,
+		}, func(generic *journal.State) error {
+			state, err := convertFleetJournal(generic)
 			if err != nil {
-				return nil, err
+				return err
 			}
-		} else if journal.HasState(fsys, c.opts.JournalPath) {
-			return nil, fmt.Errorf("%w: %s", ErrJournalExists, c.opts.JournalPath)
-		}
-		if state != nil {
 			if err := state.header.matches(fleetHeaderFor(spec)); err != nil {
-				return nil, err
+				return err
 			}
 			for _, id := range state.probeIDs() {
 				pr := state.probes[id]
@@ -707,7 +707,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 				if cm.cell != nil {
 					h, err := memhist.DecodeHistogram(cm.cell.Hist)
 					if err != nil {
-						return nil, fmt.Errorf("%w: journaled cell %d: %v", ErrJournalCorrupt, i, err)
+						return fmt.Errorf("%w: journaled cell %d: %v", ErrJournalCorrupt, i, err)
 					}
 					st.status = cellDone
 					st.hist = h
@@ -722,50 +722,18 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			}
 			nextCommit = len(state.committed)
 			if state.truncated {
-				// OpenSegmented truncates the torn tail before appending.
+				// Open truncates the torn tail before appending.
 				report.Truncated = true
 				c.opts.Logf("fleet: dropped a torn final journal record (crash mid-write)")
 			}
 			c.opts.Logf("fleet: resuming %s: %d of %d cells already journaled",
 				c.opts.JournalPath, nextCommit, n)
-		}
-		// The writer owns the header: it writes one at the head of a
-		// fresh journal and of every rotated segment, with the probe
-		// ledger compacted to one record per probe at each checkpoint.
-		sw, err := journal.OpenSegmented(fsys, c.opts.JournalPath, prior, journal.SegmentedOptions{
-			SegmentBytes: c.opts.JournalSegmentBytes,
-			Version:      fleetJournalVersion,
-			Header:       fleetHeaderFor(spec),
-			Summarize:    summarizeFleetCheckpoint,
+			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("fleet: opening journal: %w", err)
+			return nil, err
 		}
-		jnl = sw
 		defer jnl.Close()
-	}
-
-	// journalFault is the disk-fault policy at every journal append: a
-	// scripted crash (disk kill or coordinator disruptor) propagates
-	// verbatim so the chaos harness resumes from whatever hit the disk;
-	// under StrictJournal any other fault aborts typed; otherwise the
-	// journal is dropped, the campaign finishes in memory, and the
-	// report says so — the resume guarantee is never lost silently.
-	journalFault := func(err error) error {
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, journal.ErrCrashed), errors.Is(err, ErrCoordinatorKilled):
-			return err
-		case c.opts.StrictJournal:
-			return fmt.Errorf("%w: %v", ErrJournalDegraded, err)
-		}
-		c.opts.Logf("fleet: journal degraded, finishing in memory: %v", err)
-		report.JournalDegraded = true
-		report.JournalFault = err.Error()
-		jnl.Close()
-		jnl = (*journal.Writer)(nil)
-		return nil
 	}
 
 	// abort cancels every outstanding dispatch so late responses are
@@ -808,13 +776,13 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 						if fault == CommitTear {
 							frame = frame[:len(frame)/2]
 						}
-						if err := jnl.WriteRaw(frame); err != nil {
+						if err := jnl.W.WriteRaw(frame); err != nil {
 							return err
 						}
 						return ErrCoordinatorKilled
 					}
 				}
-				if err := journalFault(jnl.Append(record)); err != nil {
+				if err := jnl.Append(record); err != nil {
 					return err
 				}
 				st.journaled = true
@@ -844,7 +812,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			}
 			rec := fleetProbeRecord{Kind: "probe", ID: p.ID, Strikes: p.Strikes,
 				Reasons: p.StrikeReasons, Quarantined: quar}
-			if err := journalFault(jnl.Append(&rec)); err != nil {
+			if err := jnl.Append(&rec); err != nil {
 				return err
 			}
 			lastLedger[p.ID] = rec

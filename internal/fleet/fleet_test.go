@@ -62,7 +62,9 @@ func dialHello(t *testing.T, addr string, hello *probenet.Hello) (probenet.Frame
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	// Held open until the test ends: closing it is a disconnect, which
+	// the coordinator records against a registered probe.
+	t.Cleanup(func() { conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 	if err := probenet.WriteFrame(conn, probenet.FrameHello, hello); err != nil {
 		t.Fatal(err)

@@ -44,6 +44,16 @@ var (
 	ErrJournalDegraded = errors.New("fleet: journal degraded")
 )
 
+// fleetJournalOwner is the fleet's side of the shared journal
+// lifecycle: its message prefix and typed sentinels.
+var fleetJournalOwner = journal.Owner{
+	Name:     "fleet",
+	Exists:   ErrJournalExists,
+	Corrupt:  ErrJournalCorrupt,
+	Mismatch: ErrJournalMismatch,
+	Degraded: ErrJournalDegraded,
+}
+
 // fleetHeader pins the campaign a journal belongs to: every field of
 // the spec that shapes cell requests, so a resume against the wrong
 // campaign is refused instead of silently merging foreign cells.
@@ -174,28 +184,6 @@ func (s *fleetJournalState) probeIDs() []string {
 	return ids
 }
 
-// loadFleetJournal recovers the fleet journal at path — a legacy
-// single file or checkpointed segments — over fsys. It returns the
-// fleet-flavoured state plus the raw recovery, which OpenSegmented
-// needs to continue the journal in place. A missing, empty or
-// all-casualty journal returns (nil, nil, nil): nothing to resume (the
-// same reading the campaign caller shares).
-func loadFleetJournal(fsys journal.FS, path string) (*fleetJournalState, *journal.SegmentedState, error) {
-	seg, err := journal.LoadSegmented(fsys, path, fleetJournalVersion)
-	if err != nil {
-		_, cerr := convertFleetJournal(nil, err)
-		return nil, nil, cerr
-	}
-	if seg == nil {
-		return nil, nil, nil
-	}
-	st, err := convertFleetJournal(seg.State, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, seg, nil
-}
-
 // summarizeFleetCheckpoint compacts a rotation checkpoint: cell and
 // gap records keep their canonical order verbatim, and the probe
 // ledger — absolute totals where only the last record per probe
@@ -230,32 +218,20 @@ func summarizeFleetCheckpoint(payloads []json.RawMessage) ([]json.RawMessage, er
 }
 
 // parseFleetJournal verifies and decodes raw fleet journal bytes — the
-// pure core of loadFleetJournal, separated so it can be fuzzed without
-// a filesystem. Empty input returns (nil, nil); every failure is
-// ErrJournalCorrupt or ErrJournalMismatch, never a panic.
+// pure single-file core of a resume, separated so it can be fuzzed
+// without a filesystem. Empty input returns (nil, nil); every failure
+// is ErrJournalCorrupt or ErrJournalMismatch, never a panic.
 func parseFleetJournal(raw []byte) (*fleetJournalState, error) {
-	st, err := journal.Parse(raw, fleetJournalVersion)
-	return convertFleetJournal(st, err)
+	generic, err := journal.Parse(raw, fleetJournalVersion)
+	if err != nil {
+		return nil, fleetJournalOwner.Reflavour(err)
+	}
+	return convertFleetJournal(generic)
 }
 
 // convertFleetJournal lifts the generic journal state into the fleet's
-// record vocabulary, re-flavouring the shared typed errors into the
-// fleet sentinels.
-func convertFleetJournal(generic *journal.State, err error) (*fleetJournalState, error) {
-	if err != nil {
-		var ce *journal.CorruptError
-		if errors.As(err, &ce) {
-			if ce.Line > 0 {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, ce.Line, ce.Reason)
-			}
-			return nil, fmt.Errorf("%w: %v", ErrJournalCorrupt, ce.Reason)
-		}
-		var ve *journal.VersionError
-		if errors.As(err, &ve) {
-			return nil, fmt.Errorf("%w: journal version %d, want %d", ErrJournalMismatch, ve.Got, ve.Want)
-		}
-		return nil, err
-	}
+// record vocabulary.
+func convertFleetJournal(generic *journal.State) (*fleetJournalState, error) {
 	if generic == nil {
 		return nil, nil
 	}

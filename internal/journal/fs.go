@@ -18,7 +18,7 @@ type File interface {
 }
 
 // FS is the filesystem seam under every journal: the small set of
-// operations the single-file Writer, the SegmentedWriter and the fsck
+// operations the SegmentedWriter, its recovery and the fsck
 // surface need. Production code uses OSFS; internal/faultdisk wraps an
 // FS to inject ENOSPC, fsync failures, torn writes, read-time bit rot
 // and scripted kills at any operation.

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -21,19 +22,21 @@ type item struct {
 	Key  string `json:"key"`
 }
 
+// writeRecords frames records straight to a single-file journal — any
+// records, including a missing or duplicated header, which the writer
+// itself would never produce.
 func writeRecords(t *testing.T, records ...any) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "j")
-	w, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var raw []byte
 	for _, r := range records {
-		if err := w.Append(r); err != nil {
+		payload, err := json.Marshal(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		raw = append(raw, Frame(payload)...)
 	}
-	if err := w.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "j")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -45,10 +48,11 @@ func TestRoundTrip(t *testing.T) {
 		&item{Kind: "cell", Key: "a"},
 		&item{Kind: "gap", Key: "b"},
 	)
-	st, err := Load(path, 1)
+	seg, err := LoadSegmented(OSFS, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := seg.State
 	if st.Truncated {
 		t.Error("clean journal reported truncated")
 	}
@@ -74,11 +78,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestMissingAndEmpty(t *testing.T) {
-	st, err := Load(filepath.Join(t.TempDir(), "nope"), 1)
-	if st != nil || err != nil {
-		t.Errorf("missing file: (%v, %v)", st, err)
+	seg, err := LoadSegmented(OSFS, filepath.Join(t.TempDir(), "nope"), 1)
+	if seg != nil || err != nil {
+		t.Errorf("missing file: (%v, %v)", seg, err)
 	}
-	st, err = Parse(nil, 1)
+	st, err := Parse(nil, 1)
 	if st != nil || err != nil {
 		t.Errorf("empty input: (%v, %v)", st, err)
 	}
@@ -246,32 +250,36 @@ func TestParseLineRejects(t *testing.T) {
 	}
 }
 
-// A nil Writer (journaling disabled) must accept every call.
+// A nil SegmentedWriter (journaling disabled) must accept every call,
+// and so must a Guard around one.
 func TestNilWriterIsNoOp(t *testing.T) {
-	var w *Writer
+	var w *SegmentedWriter
 	if err := w.Append(&item{Kind: "cell"}); err != nil {
 		t.Errorf("nil Append: %v", err)
 	}
 	if err := w.WriteRaw([]byte("x")); err != nil {
 		t.Errorf("nil WriteRaw: %v", err)
 	}
-	if err := w.Sync(); err != nil {
-		t.Errorf("nil Sync: %v", err)
-	}
 	if err := w.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
+	}
+	g := &Guard{}
+	if err := g.Append(&item{Kind: "cell"}); err != nil {
+		t.Errorf("disabled Guard Append: %v", err)
+	}
+	if err := g.Close(); err != nil {
+		t.Errorf("disabled Guard Close: %v", err)
 	}
 }
 
 // WriteRaw of a half frame models a crash mid-write; the torn tail must
-// be dropped on the next load and ValidLen must allow clean truncation.
+// be dropped on the next load and a resumed Open must truncate it
+// before appending.
 func TestWriteRawTearAndRecover(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j")
-	w, err := OpenAppend(path)
+	opts := SegmentedOptions{Version: 1, Header: &header{Kind: "header", Version: 1}}
+	w, err := testOwner.Open(OSFS, path, false, opts, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(&header{Kind: "header", Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	frame := Frame([]byte(`{"kind":"cell","key":"a"}`))
@@ -281,19 +289,14 @@ func TestWriteRawTearAndRecover(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(path, 1)
+	var st *State
+	adopt := func(s *State) error { st = s; return nil }
+	w, err = testOwner.Open(OSFS, path, true, opts, adopt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Truncated || len(st.Records) != 0 {
 		t.Fatalf("torn journal: truncated=%v records=%d", st.Truncated, len(st.Records))
-	}
-	if err := os.Truncate(path, int64(st.ValidLen)); err != nil {
-		t.Fatal(err)
-	}
-	w, err = OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if err := w.Append(&item{Kind: "cell", Key: "a"}); err != nil {
 		t.Fatal(err)
@@ -301,7 +304,11 @@ func TestWriteRawTearAndRecover(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err = Load(path, 1)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = Parse(raw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,11 @@ func finishSegState(st *State, seg int, path string, endsNewline bool, dead []st
 //     migration never became durable and the legacy file is still the
 //     truth; with nothing valid anywhere, (nil, nil)
 //
-// Like Load, zero-byte and missing files mean "nothing to resume".
+// Missing and zero-byte journals yield (nil, nil): nothing to resume,
+// and a fresh run may claim them. A header-only journal is a valid
+// state with no records (the run crashed after the header landed) and
+// replays nothing. HasState reads the same bytes the same way for the
+// clobber check, so the two sides never disagree.
 func LoadSegmented(fsys FS, base string, wantVersion int) (*SegmentedState, error) {
 	if fsys == nil {
 		fsys = OSFS
@@ -278,8 +282,11 @@ type SegmentedOptions struct {
 	Summarize func([]json.RawMessage) ([]json.RawMessage, error)
 }
 
-// SegmentedWriter is a Log whose on-disk form rotates into checkpointed
-// segments. A nil writer accepts every call as a no-op, like *Writer.
+// SegmentedWriter appends CRC-framed records, fsyncing after every
+// Append so a kill -9 loses at most the record being written, and
+// rotates its on-disk form into checkpointed segments. It is the only
+// journal writer; a nil writer means "journaling disabled" and accepts
+// every call as a no-op.
 type SegmentedWriter struct {
 	fsys FS
 	base string
@@ -328,8 +335,10 @@ func OpenSegmented(fsys FS, base string, prior *SegmentedState, opts SegmentedOp
 		if err != nil {
 			return nil, err
 		}
-		w.f, w.path, w.seg = f, base, 0
-		if err := w.appendFramed(w.opts.Header); err != nil {
+		w.f, w.path = f, base
+		// The single-file layout never rotates, so Append's tail
+		// accounting of the header is harmless.
+		if err := w.Append(w.opts.Header); err != nil {
 			w.f.Close()
 			return nil, err
 		}
@@ -450,22 +459,6 @@ func (w *SegmentedWriter) startSegment(idx int, bundle []json.RawMessage, withCk
 	return nil
 }
 
-// appendFramed marshals, frames, writes and fsyncs one record without
-// rotation accounting (header writes on the legacy layout).
-func (w *SegmentedWriter) appendFramed(record any) error {
-	payload, err := json.Marshal(record)
-	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
-	}
-	if _, err := w.f.Write(Frame(payload)); err != nil {
-		return fmt.Errorf("journal: appending record: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing record: %w", err)
-	}
-	return nil
-}
-
 // Append marshals, frames, writes and fsyncs one record, then rotates
 // if the tail passed its byte budget. The record that triggers a
 // rotation is already durable in the old segment before the rotation
@@ -551,14 +544,6 @@ func (w *SegmentedWriter) WriteRaw(b []byte) error {
 	}
 	w.tail += len(b)
 	return nil
-}
-
-// Sync flushes the live segment to stable storage.
-func (w *SegmentedWriter) Sync() error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
 }
 
 // Close closes the live segment.

@@ -442,8 +442,7 @@ func TestEmptyAndHeaderOnlySemantics(t *testing.T) {
 }
 
 // opRecorder wraps OSFS and logs the operation order, for asserting
-// create → dir-fsync on journal creation (satellite: dir-fsync on
-// OpenAppend create).
+// create → dir-fsync on journal creation.
 type opRecorder struct {
 	FS
 	ops []string
@@ -463,7 +462,7 @@ func TestOpenAppendFsyncsDirOnCreate(t *testing.T) {
 	dir := t.TempDir()
 	rec := &opRecorder{FS: OSFS}
 	path := filepath.Join(dir, "j")
-	w, err := OpenAppendFS(rec, path)
+	w, err := testOwner.Open(rec, path, false, segOpts(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +473,7 @@ func TestOpenAppendFsyncsDirOnCreate(t *testing.T) {
 	}
 	// Re-opening an existing file must not fsync the directory again.
 	rec.ops = nil
-	w, err = OpenAppendFS(rec, path)
+	w, err = testOwner.Open(rec, path, true, segOpts(0), func(*State) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -489,8 +489,8 @@ func (s *ProbeServer) Serve(l net.Listener) error {
 // backpressure — and closes it.
 func (s *ProbeServer) reject(conn net.Conn, code probenet.ErrorCode, msg string, retryAfterMillis int64) {
 	defer conn.Close()
-	s.writeFrame(conn, probenet.FrameError, &probenet.ErrorMsg{Code: code, Message: msg, RetryAfterMillis: retryAfterMillis})
 	s.stats.errorsSent.Add(1)
+	s.writeFrame(conn, probenet.FrameError, &probenet.ErrorMsg{Code: code, Message: msg, RetryAfterMillis: retryAfterMillis})
 }
 
 // writeFrame writes one frame under the write deadline, logging and
@@ -512,9 +512,17 @@ func (s *ProbeServer) sendError(conn net.Conn, id uint64, code probenet.ErrorCod
 // sendErrorRetry sends an ERROR frame carrying a retry-after hint —
 // the request-scoped backpressure answer of the admission queue.
 func (s *ProbeServer) sendErrorRetry(conn net.Conn, id uint64, code probenet.ErrorCode, msg string, retryAfterMillis int64) error {
-	err := s.writeFrame(conn, probenet.FrameError, &probenet.ErrorMsg{ID: id, Code: code, Message: msg, RetryAfterMillis: retryAfterMillis})
-	if err == nil {
-		s.stats.errorsSent.Add(1)
+	return s.writeCounted(conn, probenet.FrameError, &probenet.ErrorMsg{ID: id, Code: code, Message: msg, RetryAfterMillis: retryAfterMillis}, &s.stats.errorsSent)
+}
+
+// writeCounted is writeFrame for a frame that n counts. The count is
+// taken before the write, so a peer that has read the frame and then
+// PINGs always sees it, and is rolled back if the write fails.
+func (s *ProbeServer) writeCounted(conn net.Conn, t probenet.FrameType, v any, n *atomic.Uint64) error {
+	n.Add(1)
+	err := s.writeFrame(conn, t, v)
+	if err != nil {
+		n.Add(^uint64(0))
 	}
 	return err
 }
@@ -644,10 +652,8 @@ func (s *ProbeServer) handleRequest(pc *probeConn, payload []byte) bool {
 			if !deadline.IsZero() {
 				_ = conn.SetWriteDeadline(deadline)
 			}
-			if s.writeFrame(conn, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body}) != nil {
+			if s.writeCounted(conn, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body}, &s.stats.served) != nil {
 				ok = false
-			} else {
-				s.stats.served.Add(1)
 			}
 		}
 	}

@@ -50,6 +50,37 @@ func (c *cache) reset() {
 	c.clock = 0
 }
 
+// tick advances the LRU clock and returns the new stamp. Stamps stay
+// uint32 to keep the cache small; when the clock wraps, every set's
+// stamps are renumbered in place first, keeping their order.
+func (c *cache) tick() uint32 {
+	c.clock++
+	if c.clock == 0 {
+		c.renormalise()
+	}
+	return c.clock
+}
+
+// renormalise rewrites each set's stamps as their ranks 1..ways in
+// current LRU order (ties broken by way index) and restarts the clock
+// just above them.
+func (c *cache) renormalise() {
+	ranks := make([]uint32, c.ways)
+	for base := 0; base < len(c.use); base += c.ways {
+		set := c.use[base : base+c.ways]
+		for i, u := range set {
+			ranks[i] = 1
+			for j, v := range set {
+				if v < u || (v == u && j < i) {
+					ranks[i]++
+				}
+			}
+		}
+		copy(set, ranks)
+	}
+	c.clock = uint32(c.ways) + 1
+}
+
 // lookup probes the cache for a line address and returns the way slot
 // index on a hit (updating LRU state), or -1.
 func (c *cache) lookup(lineAddr uint64) int {
@@ -57,8 +88,7 @@ func (c *cache) lookup(lineAddr uint64) int {
 	for w := 0; w < c.ways; w++ {
 		i := base + w
 		if c.flags[i]&lineValid != 0 && c.tags[i] == lineAddr {
-			c.clock++
-			c.use[i] = c.clock
+			c.use[i] = c.tick()
 			return i
 		}
 	}
@@ -98,9 +128,8 @@ func (c *cache) insert(lineAddr uint64, fl uint8, owner int16) (slot int, evicte
 	}
 	evicted = true
 place:
-	c.clock++
 	c.tags[victim] = lineAddr
-	c.use[victim] = c.clock
+	c.use[victim] = c.tick()
 	c.flags[victim] = lineValid | fl
 	c.owner[victim] = owner
 	return victim, evicted

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math"
 	"testing"
 
 	"numaperf/internal/counters"
@@ -436,6 +437,33 @@ func TestCacheUnitBehaviour(t *testing.T) {
 	}
 	if c.occupancy() != 1 {
 		t.Errorf("occupancy = %d, want 1", c.occupancy())
+	}
+}
+
+// The LRU clock is a uint32 that wraps after 2^32 touches of one cache
+// in one run. Crossing the wrap must keep every set's LRU order: the
+// victims after it are the lines that were least recent before it.
+func TestCacheClockWrapKeepsLRUOrder(t *testing.T) {
+	c := newCache(2, 4)
+	for line := uint64(0); line < 8; line++ { // lines ≡ set mod 2
+		c.insert(line, 0, -1)
+	}
+	c.clock = math.MaxUint32 - 1
+	c.lookup(0) // set 0, stamped MaxUint32
+	c.lookup(2) // set 0, wraps the clock
+	c.lookup(5) // set 1
+	if c.clock >= 16 {
+		t.Fatalf("clock = %d, want it renormalised after the wrap", c.clock)
+	}
+	// Set 0 from least to most recent: 4, 6, 0, 2. Set 1: 1, 3, 7, 5.
+	for _, want := range []uint64{4, 6, 0, 2, 1, 3, 7, 5} {
+		fresh := 100 + 2*want + want%2 // same set as want, never resident
+		if _, evicted := c.insert(fresh, 0, -1); !evicted {
+			t.Fatalf("insert %d into a full set evicted nothing", fresh)
+		}
+		if c.peek(want) >= 0 {
+			t.Fatalf("line %d survived; LRU order was lost across the wrap", want)
+		}
 	}
 }
 
