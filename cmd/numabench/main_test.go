@@ -17,14 +17,16 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestGoldenReports pins the full rendered output of representative
-// experiments — an EvSel comparison (fig8), an EvSel sweep (fig9) and a
-// Phasenprüfer split (fig11) — byte for byte. The simulator is
+// experiments — an EvSel comparison (fig8), an EvSel sweep (fig9), a
+// Phasenprüfer split (fig11), the two-step strategy against the
+// monolithic baselines (twostep) and its cross-machine transfer
+// (transfer) — byte for byte. The simulator is
 // deterministic for a fixed seed, so any diff here is a behaviour
 // change in the measurement stack, not noise; if the change is
 // intentional, regenerate with -update and review the diff.
 func TestGoldenReports(t *testing.T) {
 	cfg := experiments.Config{Machine: topology.DL580Gen9(), Quick: true, Seed: 42}
-	for _, id := range []string{"fig8", "fig9", "fig11"} {
+	for _, id := range []string{"fig8", "fig9", "fig11", "twostep", "transfer"} {
 		t.Run(id, func(t *testing.T) {
 			rep, err := experiments.Run(id, cfg)
 			if err != nil {

@@ -20,12 +20,14 @@ const headlineGolden = "headline_metrics.json"
 
 // headlineExperiments are the figures whose key numbers the CI
 // benchmark job guards: the EvSel comparison (fig8), the EvSel sweep
-// correlations (fig9) and both Memhist panels (fig10). The simulator
+// correlations (fig9), both Memhist panels (fig10), the two-step
+// prediction against the monolithic baselines (twostep) and its
+// cross-machine transfer (transfer). The simulator
 // is bit-deterministic for a fixed seed, so the recorded metrics must
 // reproduce exactly; any drift is a behaviour change in the
 // measurement stack. Regenerate with -update when the change is
 // intentional, and review the numeric diff like any other code change.
-var headlineExperiments = []string{"fig8", "fig9", "fig10a", "fig10b"}
+var headlineExperiments = []string{"fig8", "fig9", "fig10a", "fig10b", "twostep", "transfer"}
 
 func TestHeadlineMetricDrift(t *testing.T) {
 	cfg := Config{Machine: topology.DL580Gen9(), Quick: true, Seed: 42}
