@@ -73,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		probeStrikes = fs.Int("probe-strikes", fleet.DefaultProbeStrikes, "strikes before a probe is quarantined")
 		cellTimeout  = fs.Duration("cell-timeout", fleet.DefaultCellTimeout, "per-cell dispatch deadline")
 		maxRetries   = fs.Int("max-retries", fleet.DefaultMaxRetries, "re-dispatch allowance per cell")
-		maxInflight  = fs.Int("max-inflight", 1, "cells in flight per probe at a time")
+		maxInflight  = fs.Int("max-inflight", 1, "cells in flight per probe at a time; a probe measures one at a time, so extra cells queue there while their -cell-timeout runs")
 		keepGoing    = fs.Bool("keep-going", true, "record unserved cells as gaps instead of aborting")
 		strict       = fs.Bool("strict", false, "exit nonzero on gaps or quarantined probes")
 		journalPath  = fs.String("journal", "", "crash journal: fsync every committed cell to this file")

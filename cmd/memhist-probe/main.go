@@ -20,6 +20,7 @@
 // under a fresh instance number once the address answers again. A
 // quarantine verdict from the coordinator is terminal — including one
 // restored from the coordinator's journal after a restart.
+// A flag of the other mode is refused with exit 2.
 //
 // Usage:
 //
@@ -36,6 +37,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -69,6 +71,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		reconnMax   = fs.Duration("reconnect-max", 0, "fleet reconnect backoff cap (0 = probenet default)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// A flag of the other mode would do nothing: refuse it instead.
+	fleetFlag := map[string]bool{"probe-id": true, "heartbeat-interval": true, "reconnect-base": true,
+		"reconnect-max": true, "listen": false, "max-conns": false, "drain-timeout": false,
+		"max-inflight": false, "queue-budget": false, "brownout-after": false}
+	var misplaced []string
+	fs.Visit(func(f *flag.Flag) {
+		if fleet, ok := fleetFlag[f.Name]; ok && fleet != (*coordinator != "") {
+			misplaced = append(misplaced, "-"+f.Name)
+		}
+	})
+	if len(misplaced) > 0 {
+		mode := "fleet agent flags, used only with -fleet-coordinator"
+		if *coordinator != "" {
+			mode = "listening probe flags, not used with -fleet-coordinator"
+		}
+		fmt.Fprintf(stderr, "memhist-probe: %s: %s\n", strings.Join(misplaced, ", "), mode)
 		return 2
 	}
 	if *reconnBase < 0 || *reconnMax < 0 {

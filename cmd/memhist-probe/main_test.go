@@ -157,3 +157,33 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Errorf("negative reconnect backoff: exit %d, want 2", code)
 	}
 }
+
+// Each mode refuses the other mode's flags with exit 2 before opening
+// any socket, instead of silently ignoring them.
+func TestRunRefusesOtherModeFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a fleet agent that did start would stop at once
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-listen", "127.0.0.1:0", "-probe-id", "a"}, 2, "-probe-id: fleet agent flags, used only with -fleet-coordinator"},
+		{[]string{"-heartbeat-interval", "1s", "-reconnect-base", "1s", "-reconnect-max", "2s"}, 2,
+			"-heartbeat-interval, -reconnect-base, -reconnect-max: fleet agent flags"},
+		{[]string{"-fleet-coordinator", "127.0.0.1:1", "-listen", "127.0.0.1:0"}, 2, "-listen: listening probe flags, not used with -fleet-coordinator"},
+		{[]string{"-fleet-coordinator", "127.0.0.1:1", "-max-conns", "2", "-drain-timeout", "1s"}, 2,
+			"-drain-timeout, -max-conns: listening probe flags"},
+		{[]string{"-fleet-coordinator", "127.0.0.1:1", "-max-inflight", "1", "-queue-budget", "1", "-brownout-after", "1"}, 2,
+			"-brownout-after, -max-inflight, -queue-budget: listening probe flags"},
+	} {
+		var out, errOut lockedBuf
+		code := run(ctx, tc.args, &out, &errOut)
+		if code != tc.code || !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d naming %q", tc.args, code, errOut.String(), tc.code, tc.want)
+		}
+		if out.String() != "" {
+			t.Errorf("%v: refused probe still started: %q", tc.args, out.String())
+		}
+	}
+}

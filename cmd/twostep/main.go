@@ -11,9 +11,11 @@
 //	twostep -family chase -train 4096,8192,16384 -target 65536 -transfer 2s
 //	twostep -family sort -train 65536,131072,262144 -target 1048576 -parallel 4
 //
-// -parallel N measures up to N training sizes of a collection phase
-// concurrently, each on its own engine; the fitted models and the
-// report are identical to -parallel 1.
+// The monolithic baselines are priced from the first measured target
+// run. -parallel N measures up to N sizes of a collection phase at
+// once, each on its own engine, with output identical to -parallel 1.
+// -run-timeout and -max-retries supervise each size as a campaign cell,
+// with backoff seeded -seed plus the size's index.
 //
 // With -strict the command exits nonzero after printing the report
 // whenever the strategy was built from degraded data — training rows
@@ -26,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -34,7 +37,6 @@ import (
 	"numaperf/internal/campaign"
 	"numaperf/internal/core"
 	"numaperf/internal/exec"
-	"numaperf/internal/models"
 	"numaperf/internal/topology"
 	"numaperf/internal/workloads"
 )
@@ -49,131 +51,103 @@ var families = map[string]func(param float64) workloads.Workload{
 }
 
 func main() {
-	var (
-		family   = flag.String("family", "triad", "workload family: triad, chase, sort")
-		trainCSV = flag.String("train", "65536,98304,131072,196608,262144", "training sizes")
-		target   = flag.Float64("target", 1048576, "size to predict")
-		reps     = flag.Int("reps", 2, "runs per training size")
-		machine  = flag.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
-		transfer = flag.String("transfer", "", "re-calibrate the cost model on this machine")
-		maxInd   = flag.Int("indicators", 4, "maximum indicator count")
-		threads  = flag.Int("threads", 1, "thread count")
-		seed     = flag.Int64("seed", 1, "noise seed")
-		runTO    = flag.Duration("run-timeout", campaign.DefaultRunTimeout, "wall-clock budget per collection phase (0 = none)")
-		maxRetry = flag.Int("max-retries", campaign.DefaultMaxRetries, "retries per collection phase on transient failure (0 = none)")
-		parallel = flag.Int("parallel", 1, "training sizes measured concurrently; results are identical at any setting")
-		strict   = flag.Bool("strict", false, "exit nonzero when the strategy carries hard data-quality caveats")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// Each collection phase (training, calibration, truth) runs under
-	// the same supervision a campaign cell gets: wall-clock timeout,
-	// panic recovery, and deterministic capped-backoff retries.
-	// With -parallel N, up to N training sizes of a phase are measured
-	// concurrently; every size runs on its own engine and the points are
-	// reassembled in size order, so the fitted models and the report are
-	// identical at any setting.
-	sup := campaign.NewSupervisor(*runTO, *maxRetry, *seed)
-	collect := func(phase string, sizes []float64, c func(p float64) (*exec.Engine, func(*exec.Thread), error)) []core.TrainingPoint {
-		pts, attempts, err := campaign.Do(sup, func() ([]core.TrainingPoint, error) {
-			return core.CollectTrainingParallel(sizes, *reps, *parallel, c)
-		})
-		if err != nil {
-			fatalf("%s: %v", phase, err)
-		}
-		if attempts > 1 {
-			fmt.Fprintf(os.Stderr, "twostep: %s succeeded after %d attempts\n", phase, attempts)
-		}
-		return pts
+// run is main without the process-global parts so tests can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("twostep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		family   = fs.String("family", "triad", "workload family: triad, chase, sort")
+		trainCSV = fs.String("train", "65536,98304,131072,196608,262144", "training sizes")
+		target   = fs.Float64("target", 1048576, "size to predict")
+		reps     = fs.Int("reps", 2, "runs per training size")
+		machine  = fs.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
+		transfer = fs.String("transfer", "", "re-calibrate the cost model on this machine")
+		maxInd   = fs.Int("indicators", 4, "maximum indicator count")
+		threads  = fs.Int("threads", 1, "thread count")
+		seed     = fs.Int64("seed", 1, "noise seed")
+		runTO    = fs.Duration("run-timeout", campaign.DefaultRunTimeout, "wall-clock budget per collected size (0 = none)")
+		maxRetry = fs.Int("max-retries", campaign.DefaultMaxRetries, "retries per collected size on transient failure (0 = none)")
+		parallel = fs.Int("parallel", 1, "training sizes measured concurrently; results are identical at any setting")
+		strict   = fs.Bool("strict", false, "exit nonzero when the strategy carries hard data-quality caveats")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	failf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "twostep: "+format+"\n", args...)
+		return 1
 	}
 
 	mk, ok := families[*family]
 	if !ok {
-		fatalf("unknown family %q", *family)
+		return failf("unknown family %q", *family)
 	}
 	mach, ok := topology.ByName(*machine)
 	if !ok {
-		fatalf("unknown machine %q (have %v)", *machine, topology.MachineNames())
+		return failf("unknown machine %q (have %v)", *machine, topology.MachineNames())
+	}
+	var tm *topology.Machine
+	if *transfer != "" {
+		if tm, ok = topology.ByName(*transfer); !ok {
+			return failf("unknown transfer machine %q", *transfer)
+		}
 	}
 	var trainSizes []float64
 	for _, s := range strings.Split(*trainCSV, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
-			fatalf("bad training size %q: %v", s, err)
+			return failf("bad training size %q: %v", s, err)
 		}
 		trainSizes = append(trainSizes, v)
 	}
 
-	collector := func(m *topology.Machine) func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-		return func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-			e, err := exec.NewEngine(exec.Config{Machine: m, Threads: *threads, Seed: *seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, mk(p).Body(), nil
-		}
-	}
-
-	fmt.Printf("training %s on %s at sizes %v (%d reps)\n", *family, mach.Name, trainSizes, *reps)
-	train := collect("training", trainSizes, collector(mach))
-	st, err := core.Build(train, "size", *maxInd)
+	fmt.Fprintf(stdout, "training %s on %s at sizes %v (%d reps)\n", *family, mach.Name, trainSizes, *reps)
+	a, err := core.Assess(core.Spec{
+		Family:        mk,
+		Config:        exec.Config{Machine: mach, Threads: *threads, Seed: *seed},
+		Transfer:      tm,
+		ParamName:     "size",
+		Train:         trainSizes,
+		Target:        *target,
+		Reps:          *reps,
+		MaxIndicators: *maxInd,
+		Workers:       *parallel,
+		RunTimeout:    *runTO,
+		MaxRetries:    *maxRetry,
+	})
 	if err != nil {
-		fatalf("building strategy: %v", err)
+		return failf("%v", err)
 	}
-	fmt.Printf("\n%s\n", st.String())
-
-	evalMach := mach
-	if *transfer != "" {
-		tm, ok := topology.ByName(*transfer)
-		if !ok {
-			fatalf("unknown transfer machine %q", *transfer)
-		}
-		fmt.Printf("re-calibrating the cost model on %s\n", tm.Name)
-		calib := collect("calibration", trainSizes, collector(tm))
-		st, err = st.Transfer(calib)
-		if err != nil {
-			fatalf("transfer: %v", err)
-		}
-		evalMach = tm
+	if a.Retried > 0 {
+		fmt.Fprintf(stderr, "twostep: collection needed %d retries\n", a.Retried)
+	}
+	fmt.Fprintf(stdout, "\n%s\n", a.Source.String())
+	if tm != nil {
+		fmt.Fprintf(stdout, "re-calibrating the cost model on %s\n", tm.Name)
 	}
 
-	truth := collect("measuring target", []float64{*target}, collector(evalMach))
-	var actual float64
-	for _, p := range truth {
-		actual += p.Cycles
-	}
-	actual /= float64(len(truth))
+	actual := a.Actual
+	fmt.Fprintf(stdout, "\npredicting size %.0f on %s:\n", *target, a.Machine.Name)
+	fmt.Fprintf(stdout, "%-14s %14.4g cycles  error %6.1f%%\n", "two-step", a.Predicted, 100*relErr(a.Predicted, actual))
+	fmt.Fprintf(stdout, "%-14s %14.4g cycles  (measured, %d runs)\n", "actual", actual, *reps)
 
-	pred := st.PredictCycles(*target)
-	fmt.Printf("\npredicting size %.0f on %s:\n", *target, evalMach.Name)
-	fmt.Printf("%-14s %14.4g cycles  error %6.1f%%\n", "two-step", pred, 100*relErr(pred, actual))
-	fmt.Printf("%-14s %14.4g cycles  (measured, %d runs)\n", "actual", actual, len(truth))
-
-	char := models.Characterize(resultOf(truth, *threads))
-	fmt.Println("\nmonolithic baselines (no counter access):")
-	for _, b := range models.All() {
-		p := b.PredictCycles(char, evalMach)
-		fmt.Printf("%-14s %14.4g cycles  error %6.1f%%\n", b.Name(), p, 100*relErr(p, actual))
+	fmt.Fprintln(stdout, "\nmonolithic baselines (no counter access):")
+	for _, b := range a.Baselines {
+		fmt.Fprintf(stdout, "%-14s %14.4g cycles  error %6.1f%%\n", b.Name, b.Cycles, 100*relErr(b.Cycles, actual))
 	}
 
 	if *strict {
 		switch {
-		case st.HardDegraded():
-			fmt.Fprintln(os.Stderr, "twostep: -strict: strategy carries hard data-quality caveats (see report above)")
-			os.Exit(1)
-		case math.IsNaN(pred) || math.IsInf(pred, 0):
-			fmt.Fprintf(os.Stderr, "twostep: -strict: prediction is non-finite (%g)\n", pred)
-			os.Exit(1)
+		case a.Strategy.HardDegraded():
+			return failf("-strict: strategy carries hard data-quality caveats (see report above)")
+		case math.IsNaN(a.Predicted) || math.IsInf(a.Predicted, 0):
+			return failf("-strict: prediction is non-finite (%g)", a.Predicted)
 		}
 	}
-}
-
-// resultOf reconstructs a minimal result view for Characterize from a
-// training point measured with the given thread count (counters plus
-// machine-independent fields).
-func resultOf(pts []core.TrainingPoint, threads int) *exec.Result {
-	p := pts[0]
-	return &exec.Result{Raw: p.Counts, Cycles: uint64(p.Cycles), Threads: threads}
+	return 0
 }
 
 func relErr(pred, actual float64) float64 {
@@ -181,9 +155,4 @@ func relErr(pred, actual float64) float64 {
 		return 0
 	}
 	return math.Abs(pred-actual) / actual
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "twostep: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -31,7 +31,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"numaperf/internal/counters"
@@ -180,15 +179,6 @@ type RunFunc func(Cell) (map[counters.EventID]float64, error)
 // pool workers at once and must be safe for concurrent use.
 type Middleware func(RunFunc) RunFunc
 
-// cellOutcome carries one executed cell from a pool worker to the
-// committer.
-type cellOutcome struct {
-	cell     Cell
-	samples  map[counters.EventID]float64
-	attempts int
-	err      error
-}
-
 // Gap is a typed hole in the campaign's data: a cell that was given up
 // on, and the events that consequently lack one sample each.
 type Gap struct {
@@ -302,16 +292,9 @@ func (r *Runner) validate() error {
 func (r *Runner) plan() ([]pointPlan, error) {
 	plans := make([]pointPlan, len(r.Spec.Points))
 	for i, p := range r.Spec.Points {
-		if r.Spec.Mode != perf.Batched {
-			all := append([]counters.EventID(nil), r.Spec.Events...)
-			plans[i] = pointPlan{batches: 1, groups: 1, visible: func(int) []counters.EventID { return all }}
-			if r.Spec.Mode == perf.Multiplexed {
-				e, _, err := p.Mk(r.Spec.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("campaign: planning point %d: %w", i, err)
-				}
-				plans[i].groups = perf.PlanBatches(e, r.Spec.Events).Batches()
-			}
+		all := append([]counters.EventID(nil), r.Spec.Events...)
+		plans[i] = pointPlan{batches: 1, groups: 1, visible: func(int) []counters.EventID { return all }}
+		if r.Spec.Mode != perf.Batched && r.Spec.Mode != perf.Multiplexed {
 			continue
 		}
 		e, _, err := p.Mk(r.Spec.Seed)
@@ -319,7 +302,10 @@ func (r *Runner) plan() ([]pointPlan, error) {
 			return nil, fmt.Errorf("campaign: planning point %d: %w", i, err)
 		}
 		bp := perf.PlanBatches(e, r.Spec.Events)
-		plans[i] = pointPlan{batches: bp.Batches(), groups: bp.Batches(), visible: bp.Visible}
+		plans[i].groups = bp.Batches()
+		if r.Spec.Mode == perf.Batched {
+			plans[i].batches, plans[i].visible = bp.Batches(), bp.Visible
+		}
 	}
 	return plans, nil
 }
@@ -412,7 +398,10 @@ func (s *strikeLog) strike(id counters.EventID, reason string) {
 
 // Run executes the campaign and returns its report. On an aborted
 // campaign (KeepGoing disabled) the error is a *CampaignError and the
-// journal retains every completed cell for a later resume.
+// journal retains every completed cell for a later resume: the abort
+// commits nothing after the failed cell, so the journal is a clean
+// prefix of the serial one even if later cells already ran on other
+// workers.
 func (r *Runner) Run() (*Report, error) {
 	if err := r.validate(); err != nil {
 		return nil, err
@@ -448,7 +437,7 @@ func (r *Runner) Run() (*Report, error) {
 			if err := st.header.matches(r.header()); err != nil {
 				return err
 			}
-			state = st
+			state, rep.Truncated = st, st.truncated
 			logf("campaign: resuming %s: %d of %d cells already journaled",
 				r.Opts.JournalPath, state.completed(), len(cells))
 			return nil
@@ -458,36 +447,19 @@ func (r *Runner) Run() (*Report, error) {
 		}
 		defer jnl.Close()
 	}
-	if state != nil {
-		rep.Truncated = state.truncated
-	}
 
 	run := r.defaultRun(plans)
 	if r.Opts.Wrap != nil {
 		run = r.Opts.Wrap(run)
 	}
-	timeout := r.Opts.RunTimeout
-	switch {
-	case timeout == 0:
-		timeout = DefaultRunTimeout
-	case timeout < 0:
-		timeout = 0
-	}
-	maxRetries := r.Opts.MaxRetries
-	switch {
-	case maxRetries == 0:
-		maxRetries = DefaultMaxRetries
-	case maxRetries < 0:
-		maxRetries = 0
-	}
 	// Every cell gets its own supervisor whose backoff stream is seeded
 	// by the cell ordinal: retry delays depend only on the cell, never
 	// on which worker ran it or in what order.
-	mkSup := func(c Cell) *Supervisor {
+	sup := func(i int) *Supervisor {
 		return &Supervisor{
-			Timeout:    timeout,
-			MaxRetries: maxRetries,
-			Backoff:    probenet.NewBackoff(r.Opts.BackoffBase, r.Opts.BackoffMax, r.Opts.BackoffSeed+int64(c.Index)),
+			Timeout:    knob(r.Opts.RunTimeout, DefaultRunTimeout, 0),
+			MaxRetries: knob(r.Opts.MaxRetries, DefaultMaxRetries, 0),
+			Backoff:    probenet.NewBackoff(r.Opts.BackoffBase, r.Opts.BackoffMax, r.Opts.BackoffSeed+int64(i)),
 			Sleep:      r.Opts.Sleep,
 		}
 	}
@@ -520,165 +492,86 @@ func (r *Runner) Run() (*Report, error) {
 		}
 	}
 
-	// Cells the journal does not already satisfy go to a bounded worker
-	// pool. Workers only execute; the commit loop below is the sole
-	// goroutine that journals, records, strikes and accounts, consuming
-	// outcomes re-sequenced into canonical cell order — so every byte of
-	// journal and report is independent of worker count and scheduling.
-	// With one worker the commit loop executes each cell itself: a
-	// serial campaign never starts a cell before the previous one is
-	// committed, so an abort stops at the failed cell and no cell is
-	// still running when Run returns.
-	var toRun []Cell
-	for _, c := range cells {
-		if state != nil {
+	// Cells the journal does not already satisfy run on InOrder's bounded
+	// pool. Workers only execute; the commit function below is the sole
+	// code that journals, records, strikes and accounts, seeing outcomes
+	// in canonical cell order — so every byte of journal and report is
+	// independent of worker count and scheduling.
+	replayed := func(i int) bool {
+		if state == nil {
+			return false
+		}
+		key := cells[i].Key()
+		_, done := state.cells[key]
+		_, failed := state.gaps[key]
+		return done || failed
+	}
+	err = InOrder(len(cells), r.Opts.Concurrency, replayed, sup,
+		func(i int) (map[counters.EventID]float64, error) { return run(cells[i]) },
+		func(i int, o Outcome[map[counters.EventID]float64]) error {
+			c := cells[i]
 			key := c.Key()
-			if _, ok := state.cells[key]; ok {
-				continue
-			}
-			if _, ok := state.gaps[key]; ok {
-				continue
-			}
-		}
-		toRun = append(toRun, c)
-	}
-	workers := r.Opts.Concurrency
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(toRun) {
-		workers = len(toRun)
-	}
-
-	execute := func(c Cell) cellOutcome {
-		out, attempts, err := Do(mkSup(c), func() (map[counters.EventID]float64, error) {
-			return run(c)
-		})
-		return cellOutcome{cell: c, samples: out, attempts: attempts, err: err}
-	}
-
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	defer halt()
-
-	// Buffered for every dispatchable cell so workers never block on a
-	// departed committer: after an abort, in-flight cells finish into
-	// the buffer and their goroutines exit without leaking.
-	results := make(chan cellOutcome, len(toRun))
-	if workers > 1 {
-		jobs := make(chan Cell)
-		go func() {
-			defer close(jobs)
-			for _, c := range toRun {
-				select {
-				case jobs <- c:
-				case <-stop:
-					return
+			if o.Attempts == 0 {
+				if cr, ok := state.cells[key]; ok {
+					samples, err := decodeSamples(cr.Samples)
+					if err != nil {
+						return fmt.Errorf("%w: cell %s: %v", ErrJournalMismatch, key, err)
+					}
+					record(c, samples, cr.Bad)
+				} else {
+					gap(c, state.gaps[key].Error)
 				}
-			}
-		}()
-		for w := 0; w < workers; w++ {
-			go func() {
-				for c := range jobs {
-					results <- execute(c)
-				}
-			}()
-		}
-	}
-
-	// await returns the outcome of cell c: executed here when serial,
-	// otherwise taken from the pool, parking outcomes that arrive out
-	// of order until their turn.
-	pending := make(map[int]cellOutcome, workers)
-	await := func(c Cell) cellOutcome {
-		if workers <= 1 {
-			return execute(c)
-		}
-		idx := c.Index
-		for {
-			if o, ok := pending[idx]; ok {
-				delete(pending, idx)
-				return o
-			}
-			o := <-results
-			pending[o.cell.Index] = o
-		}
-	}
-
-	for _, c := range cells {
-		key := c.Key()
-		if state != nil {
-			if cr, ok := state.cells[key]; ok {
-				samples, err := decodeSamples(cr.Samples)
-				if err != nil {
-					return nil, fmt.Errorf("%w: cell %s: %v", ErrJournalMismatch, key, err)
-				}
-				record(c, samples, cr.Bad)
 				rep.Replayed++
-				continue
+				return nil
 			}
-			if gr, ok := state.gaps[key]; ok {
-				gap(c, gr.Error)
-				rep.Replayed++
-				continue
-			}
-		}
 
-		o := await(c)
-		rep.Retried += o.attempts - 1
-		if o.err != nil {
-			cerr := &CellError{Cell: c, Attempts: o.attempts, Err: o.err}
-			if !r.Opts.KeepGoing {
-				// Aborting here leaves the journal a clean prefix of the
-				// serial journal: later cells may have executed on other
-				// workers, but none of them has been committed.
-				return rep, &CampaignError{Cell: c, Err: cerr}
+			rep.Retried += o.Attempts - 1
+			if o.Err != nil {
+				cerr := &CellError{Cell: c, Attempts: o.Attempts, Err: o.Err}
+				if !r.Opts.KeepGoing {
+					return &CampaignError{Cell: c, Err: cerr}
+				}
+				logf("campaign: %v (recording gap)", cerr)
+				if jerr := jnl.Append(&gapRecord{Kind: "gap", Key: key, Error: cerr.Error(),
+					Events: names(plans[c.Point].visible(c.Batch))}); jerr != nil {
+					return jerr
+				}
+				gap(c, cerr.Error())
+				rep.Ran++
+				return nil
 			}
-			logf("campaign: %v (recording gap)", cerr)
-			if jerr := jnl.Append(&gapRecord{Kind: "gap", Key: key, Error: cerr.Error(),
-				Events: names(plans[c.Point].visible(c.Batch))}); jerr != nil {
-				return rep, jerr
+
+			// Screen impossible values: the sample is dropped (a strike),
+			// the rest of the cell is kept.
+			samples := make(map[string]float64, len(o.Val))
+			bad := map[string]string{}
+			for _, id := range plans[c.Point].visible(c.Batch) {
+				v, ok := o.Val[id]
+				if !ok {
+					continue
+				}
+				name := counters.Def(id).Name
+				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+					bad[name] = (&ValueError{Event: name, Value: v}).Error()
+					continue
+				}
+				samples[name] = v
 			}
-			gap(c, cerr.Error())
+			if jerr := jnl.Append(&cellRecord{Kind: "cell", Key: key, Samples: samples, Bad: bad}); jerr != nil {
+				return jerr
+			}
+			decoded, _ := decodeSamples(samples)
+			record(c, decoded, bad)
 			rep.Ran++
-			continue
-		}
-
-		// Screen impossible values: the sample is dropped (a strike),
-		// the rest of the cell is kept.
-		out := o.samples
-		samples := make(map[string]float64, len(out))
-		bad := map[string]string{}
-		for _, id := range plans[c.Point].visible(c.Batch) {
-			v, ok := out[id]
-			if !ok {
-				continue
-			}
-			name := counters.Def(id).Name
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				bad[name] = (&ValueError{Event: name, Value: v}).Error()
-				continue
-			}
-			samples[name] = v
-		}
-		if jerr := jnl.Append(&cellRecord{Kind: "cell", Key: key, Samples: samples, Bad: bad}); jerr != nil {
-			return rep, jerr
-		}
-		decoded, _ := decodeSamples(samples)
-		record(c, decoded, bad)
-		rep.Ran++
+			return nil
+		})
+	if err != nil {
+		return rep, err
 	}
 
 	// Quarantine verdicts: counters whose strike count crossed the
 	// threshold are removed from every point and reported.
-	threshold := r.Opts.QuarantineAfter
-	switch {
-	case threshold == 0:
-		threshold = DefaultQuarantineAfter
-	case threshold < 0:
-		threshold = math.MaxInt
-	}
+	threshold := knob(r.Opts.QuarantineAfter, DefaultQuarantineAfter, math.MaxInt)
 	var quarantined []counters.EventID
 	for id, n := range strikes.count {
 		if n >= threshold {
@@ -718,6 +611,17 @@ func (r *Runner) Run() (*Report, error) {
 		rep.Points = append(rep.Points, PointResult{Param: p.Param, M: m})
 	}
 	return rep, nil
+}
+
+// knob resolves an Options value: zero selects def, negative selects off.
+func knob[T int | time.Duration](v, def, off T) T {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
+		return off
+	}
+	return v
 }
 
 // decodeSamples maps journaled event names back to IDs.

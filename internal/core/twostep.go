@@ -25,8 +25,8 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
 	"numaperf/internal/exec"
 	"numaperf/internal/linalg"
@@ -43,94 +43,53 @@ type TrainingPoint struct {
 
 // CollectTraining runs the workload at each parameter value reps times
 // and records one training point per run. mk builds the engine and
-// body for a parameter value.
-func CollectTraining(params []float64, reps int,
+// body for a parameter value. Each value is one cell on campaign.InOrder
+// with up to workers cells at once (mk is then called concurrently), so
+// the points, and any error, are identical at any worker count.
+func CollectTraining(params []float64, reps, workers int,
 	mk func(param float64) (*exec.Engine, func(*exec.Thread), error)) ([]TrainingPoint, error) {
-	return CollectTrainingParallel(params, reps, 1, mk)
+	pts, _, _, err := collect(params, reps, workers, func(int) *campaign.Supervisor { return &campaign.Supervisor{} }, mk)
+	return pts, err
 }
 
-// CollectTrainingParallel is CollectTraining with up to workers
-// parameter values measured concurrently. Each parameter runs on its
-// own engine built by mk, so the training points — and any error — are
-// identical to the serial collection at any worker count; only
-// wall-clock time changes. mk must therefore be safe to call from
-// multiple goroutines (building a fresh engine per call, as the
-// twostep collectors do, satisfies this).
-func CollectTrainingParallel(params []float64, reps, workers int,
-	mk func(param float64) (*exec.Engine, func(*exec.Thread), error)) ([]TrainingPoint, error) {
+// collect is CollectTraining with cell i supervised by sup(i). It also
+// returns the first run of the first parameter value and the number of
+// attempts beyond each cell's first.
+func collect(params []float64, reps, workers int, sup func(i int) *campaign.Supervisor,
+	mk func(param float64) (*exec.Engine, func(*exec.Thread), error)) (pts []TrainingPoint, first *exec.Result, retried int, err error) {
 	if len(params) == 0 || reps <= 0 {
-		return nil, errors.New("core: empty training request")
+		return nil, nil, 0, errors.New("core: empty training request")
 	}
-	if workers > len(params) {
-		workers = len(params)
-	}
-	if workers <= 1 {
-		var out []TrainingPoint
-		for _, p := range params {
-			pts, err := collectParam(p, reps, mk)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pts...)
-		}
-		return out, nil
-	}
-
-	type paramResult struct {
-		pts []TrainingPoint
-		err error
-	}
-	results := make([]paramResult, len(params))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pts, err := collectParam(params[i], reps, mk)
-				results[i] = paramResult{pts: pts, err: err}
-			}
-		}()
-	}
-	for i := range params {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Reassemble in parameter order; on failure report the error the
-	// serial collection would have hit first.
-	var out []TrainingPoint
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.pts...)
-	}
-	return out, nil
-}
-
-// collectParam measures one parameter value: a fresh engine, reps runs.
-func collectParam(p float64, reps int,
-	mk func(param float64) (*exec.Engine, func(*exec.Thread), error)) ([]TrainingPoint, error) {
-	e, body, err := mk(p)
-	if err != nil {
-		return nil, fmt.Errorf("core: engine for param %g: %w", p, err)
-	}
-	out := make([]TrainingPoint, 0, reps)
-	for r := 0; r < reps; r++ {
-		res, err := e.Run(body)
+	err = campaign.InOrder(len(params), workers, nil, sup, func(i int) ([]*exec.Result, error) {
+		// One cell: a fresh engine, reps runs.
+		e, body, err := mk(params[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: run at param %g: %w", p, err)
+			return nil, fmt.Errorf("core: engine for param %g: %w", params[i], err)
 		}
-		out = append(out, TrainingPoint{
-			Param:  p,
-			Counts: res.Total,
-			Cycles: float64(res.Cycles),
-		})
+		runs := make([]*exec.Result, reps)
+		for r := range runs {
+			if runs[r], err = e.Run(body); err != nil {
+				return nil, fmt.Errorf("core: run at param %g: %w", params[i], err)
+			}
+		}
+		return runs, nil
+	}, func(i int, c campaign.Outcome[[]*exec.Result]) error {
+		retried += c.Attempts - 1
+		if c.Err != nil {
+			return c.Err
+		}
+		if i == 0 {
+			first = c.Val[0]
+		}
+		for _, res := range c.Val {
+			pts = append(pts, TrainingPoint{Param: params[i], Counts: res.Total, Cycles: float64(res.Cycles)})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, retried, err
 	}
-	return out, nil
+	return pts, first, retried, nil
 }
 
 // SelectIndicators chooses up to max events as performance indicators:

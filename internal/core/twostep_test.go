@@ -15,7 +15,7 @@ import (
 // element counts.
 func triadTraining(t *testing.T, params []float64, reps int, mach *topology.Machine) []TrainingPoint {
 	t.Helper()
-	pts, err := CollectTraining(params, reps, func(p float64) (*exec.Engine, func(*exec.Thread), error) {
+	pts, err := CollectTraining(params, reps, 1, func(p float64) (*exec.Engine, func(*exec.Thread), error) {
 		e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: 1, Seed: 17})
 		if err != nil {
 			return nil, nil, err
@@ -38,25 +38,25 @@ func TestCollectTraining(t *testing.T) {
 			t.Errorf("bad point: %+v", p.Param)
 		}
 	}
-	if _, err := CollectTraining(nil, 1, nil); err == nil {
+	if _, err := CollectTraining(nil, 1, 1, nil); err == nil {
 		t.Error("empty params must fail")
 	}
-	if _, err := CollectTraining([]float64{1}, 0, nil); err == nil {
+	if _, err := CollectTraining([]float64{1}, 0, 1, nil); err == nil {
 		t.Error("zero reps must fail")
 	}
 	bad := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
 		e, err := exec.NewEngine(exec.Config{Machine: topology.UMA(), Threads: 1})
 		return e, func(t *exec.Thread) { panic("x") }, err
 	}
-	if _, err := CollectTraining([]float64{1}, 1, bad); err == nil {
+	if _, err := CollectTraining([]float64{1}, 1, 1, bad); err == nil {
 		t.Error("failing workload must propagate")
 	}
 }
 
 func TestCollectTrainingParallelEquivalence(t *testing.T) {
-	// The parallel collector must produce exactly the serial points —
-	// same order, same counts, same cycles — because every parameter
-	// runs on its own deterministically seeded engine.
+	// Collection on several workers must produce exactly the serial
+	// points — same order, same counts, same cycles — because every
+	// parameter runs on its own deterministically seeded engine.
 	params := []float64{1024, 2048, 4096, 8192}
 	mk := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
 		e, err := exec.NewEngine(exec.Config{Machine: topology.TwoSocket(), Threads: 1, Seed: 17})
@@ -65,12 +65,12 @@ func TestCollectTrainingParallelEquivalence(t *testing.T) {
 		}
 		return e, workloads.Triad{Elements: int(p)}.Body(), nil
 	}
-	ref, err := CollectTraining(params, 2, mk)
+	ref, err := CollectTraining(params, 2, 1, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := CollectTrainingParallel(params, 2, workers, mk)
+		got, err := CollectTraining(params, 2, workers, mk)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -102,7 +102,7 @@ func TestCollectTrainingParallelEquivalence(t *testing.T) {
 		}
 		return e, body, nil
 	}
-	if _, err := CollectTrainingParallel([]float64{1024, 2048, 4096}, 1, 3, bad); err == nil ||
+	if _, err := CollectTraining([]float64{1024, 2048, 4096}, 1, 3, bad); err == nil ||
 		!strings.Contains(err.Error(), "param 2048") {
 		t.Fatalf("want the first failing param's error, got %v", err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"numaperf/internal/core"
 	"numaperf/internal/exec"
 	"numaperf/internal/topology"
 	"numaperf/internal/workloads"
@@ -25,66 +24,28 @@ func Transfer(cfg Config) (*Report, error) {
 	target.Name = "Intel Xeon E7-4890 v2 (sim, slower memory)"
 	target.MemLatency = target.MemLatency * 3 / 2
 	target.Caches[2].LatencyCycles += 20
-	family := func(p float64) workloads.Workload { return workloads.Triad{Elements: int(p)} }
-	mk := func(m *topology.Machine) func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-		return func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-			e, err := exec.NewEngine(exec.Config{Machine: m, Threads: 1, Seed: cfg.Seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, family(p).Body(), nil
-		}
-	}
-	trainSizes := pick(cfg,
-		[]float64{24576, 32768, 49152, 65536},
-		[]float64{65536, 98304, 131072, 196608, 262144})
 	targetSize := pick(cfg, 196608.0, 786432.0)
-	reps := pick(cfg, 2, 3)
-
-	srcTrain, err := core.CollectTraining(trainSizes, reps, mk(source))
+	a, err := assessTriad(cfg, source, target, targetSize)
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.Build(srcTrain, "elements", 4)
-	if err != nil {
-		return nil, err
-	}
-	// Calibration runs on the target machine (same small sizes).
-	calib, err := core.CollectTraining(trainSizes, reps, mk(target))
-	if err != nil {
-		return nil, err
-	}
-	moved, err := st.Transfer(calib)
-	if err != nil {
-		return nil, err
-	}
-	// Ground truth on the target.
-	truth, err := core.CollectTraining([]float64{targetSize}, reps, mk(target))
-	if err != nil {
-		return nil, err
-	}
-	var actual float64
-	for _, p := range truth {
-		actual += p.Cycles
-	}
-	actual /= float64(len(truth))
+	actual := a.Actual
 
 	rep := newReport("transfer", "Cross-machine transfer of the two-step strategy (Fig. 4b)")
 	rep.printf("source %s → target %s; triad family, predicting %d elements\n\n",
 		source.Name, target.Name, int(targetSize))
 
-	predMoved := moved.PredictCycles(targetSize)
-	errMoved := math.Abs(predMoved-actual) / actual
+	errMoved := math.Abs(a.Predicted-actual) / actual
 	// Naive: keep the source cost model, extrapolate source indicators.
-	predNaive := st.PredictCycles(targetSize)
+	predNaive := a.Source.PredictCycles(targetSize)
 	errNaive := math.Abs(predNaive-actual) / actual
 
-	rep.printf("%-28s %14.4g cycles  error %6.1f%%\n", "transferred (recalibrated)", predMoved, 100*errMoved)
+	rep.printf("%-28s %14.4g cycles  error %6.1f%%\n", "transferred (recalibrated)", a.Predicted, 100*errMoved)
 	rep.printf("%-28s %14.4g cycles  error %6.1f%%\n", "source model, untransferred", predNaive, 100*errNaive)
 	rep.printf("%-28s %14.4g cycles\n", "actual on target", actual)
 	rep.Metrics["transferred_error"] = errMoved
 	rep.Metrics["untransferred_error"] = errNaive
-	rep.Metrics["indicators"] = float64(len(moved.Indicators))
+	rep.Metrics["indicators"] = float64(len(a.Strategy.Indicators))
 	return rep, nil
 }
 

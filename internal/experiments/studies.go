@@ -9,10 +9,10 @@ import (
 	"numaperf/internal/counters"
 	"numaperf/internal/exec"
 	"numaperf/internal/memhist"
-	"numaperf/internal/models"
 	"numaperf/internal/perf"
 	"numaperf/internal/phase"
 	"numaperf/internal/stats"
+	"numaperf/internal/topology"
 	"numaperf/internal/workloads"
 )
 
@@ -21,69 +21,32 @@ import (
 // (code→indicator extrapolation plus indicator→cost model), and compare
 // the prediction error against the monolithic baselines of Section II.
 func TwoStep(cfg Config) (*Report, error) {
-	m := cfg.machine()
-	mk := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-		e, err := exec.NewEngine(exec.Config{Machine: m, Threads: 1, Seed: cfg.Seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, workloads.Triad{Elements: int(p)}.Body(), nil
-	}
-	trainSizes := pick(cfg,
-		[]float64{24576, 32768, 49152, 65536},
-		[]float64{65536, 98304, 131072, 196608, 262144})
 	target := pick(cfg, 196608.0, 1048576.0)
-	reps := pick(cfg, 2, 3)
-
-	train, err := core.CollectTraining(trainSizes, reps, mk)
+	a, err := assessTriad(cfg, cfg.machine(), nil, target)
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.Build(train, "elements", 4)
-	if err != nil {
-		return nil, err
-	}
-	// Ground truth at the target size.
-	truth, err := core.CollectTraining([]float64{target}, reps, mk)
-	if err != nil {
-		return nil, err
-	}
-	var actual float64
-	for _, p := range truth {
-		actual += p.Cycles
-	}
-	actual /= float64(len(truth))
+	actual := a.Actual
 
 	rep := newReport("twostep", "Two-step strategy vs monolithic cost models (Sec. III)")
-	rep.printf("triad family, trained on sizes %v, predicting %d elements\n\n", trainSizes, int(target))
-	rep.printf("%s\n", st.String())
+	rep.printf("triad family, trained on sizes %v, predicting %d elements\n\n", triadTrain(cfg), int(target))
+	rep.printf("%s\n", a.Strategy.String())
 
-	pred := st.PredictCycles(target)
-	twoStepErr := math.Abs(pred-actual) / actual
+	twoStepErr := math.Abs(a.Predicted-actual) / actual
 	rep.printf("%-14s predicted %14.4g cycles  actual %14.4g  error %6.1f%%\n",
-		"two-step", pred, actual, 100*twoStepErr)
+		"two-step", a.Predicted, actual, 100*twoStepErr)
 	rep.Metrics["twostep_error"] = twoStepErr
-	rep.Metrics["cost_r2"] = st.Cost.R2
+	rep.Metrics["cost_r2"] = a.Strategy.Cost.R2
 
 	// Baselines see only the abstract characterisation of the target
 	// run (what one could state without hardware counters).
-	e, err := exec.NewEngine(exec.Config{Machine: m, Threads: 1, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.Run(workloads.Triad{Elements: int(target)}.Body())
-	if err != nil {
-		return nil, err
-	}
-	char := models.Characterize(res)
 	worstBaseline := 0.0
 	bestBaseline := math.Inf(1)
-	for _, b := range models.All() {
-		p := b.PredictCycles(char, m)
-		errRel := math.Abs(p-actual) / actual
+	for _, b := range a.Baselines {
+		errRel := math.Abs(b.Cycles-actual) / actual
 		rep.printf("%-14s predicted %14.4g cycles  actual %14.4g  error %6.1f%%\n",
-			b.Name(), p, actual, 100*errRel)
-		rep.Metrics["baseline_"+b.Name()+"_error"] = errRel
+			b.Name, b.Cycles, actual, 100*errRel)
+		rep.Metrics["baseline_"+b.Name+"_error"] = errRel
 		if errRel > worstBaseline {
 			worstBaseline = errRel
 		}
@@ -94,6 +57,23 @@ func TwoStep(cfg Config) (*Report, error) {
 	rep.Metrics["best_baseline_error"] = bestBaseline
 	rep.Metrics["worst_baseline_error"] = worstBaseline
 	return rep, nil
+}
+
+// triadTrain is the training sizes of the two-step experiments.
+func triadTrain(cfg Config) []float64 {
+	return pick(cfg, []float64{24576, 32768, 49152, 65536}, []float64{65536, 98304, 131072, 196608, 262144})
+}
+
+// assessTriad assesses the two-step strategy on the triad family,
+// trained on m and optionally transferred to another machine.
+func assessTriad(cfg Config, m, transfer *topology.Machine, target float64) (*core.Assessment, error) {
+	return core.Assess(core.Spec{
+		Family:    func(p float64) workloads.Workload { return workloads.Triad{Elements: int(p)} },
+		Config:    exec.Config{Machine: m, Threads: 1, Seed: cfg.Seed},
+		Transfer:  transfer,
+		ParamName: "elements", Train: triadTrain(cfg), Target: target,
+		Reps: pick(cfg, 2, 3), MaxIndicators: 4,
+	})
 }
 
 // AblationBatching quantifies the paper's §IV-A design choice: when

@@ -36,10 +36,11 @@ type Options struct {
 	KeepGoing bool
 	// MaxInflightPerProbe caps how many cells may be in flight on one
 	// probe at a time (0 = 1, the historical one-cell-per-probe rule).
-	// Raising it lets a small fleet absorb a large campaign faster while
-	// the coordinator's backpressure handling keeps an overloaded probe
-	// from being overrun: an "overloaded" answer re-dispatches the cell
-	// with the probe's retry-after hint and charges no strike.
+	// Raising it does not measure faster: a ProbeAgent answers one
+	// connection's requests one at a time, so extra cells queue on the
+	// probe while their CellTimeout runs from dispatch. An "overloaded"
+	// answer re-dispatches the cell with the probe's retry-after hint and
+	// charges no strike.
 	MaxInflightPerProbe int
 	// NoProbeGrace is how long a campaign tolerates an empty fleet
 	// before failing the remaining cells with ErrNoProbes (0 =

@@ -479,7 +479,7 @@ func (s *Session) TrainTwoStep(family func(param float64) Workload, params []flo
 func (s *Session) CollectTraining(family func(param float64) Workload, params []float64,
 	reps int) ([]TrainingPoint, error) {
 	cfg := s.cfg
-	return core.CollectTraining(params, reps,
+	return core.CollectTraining(params, reps, 1,
 		func(p float64) (*exec.Engine, func(*exec.Thread), error) {
 			e, err := exec.NewEngine(cfg)
 			if err != nil {
